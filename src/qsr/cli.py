@@ -20,6 +20,7 @@ from typing import Any, Mapping
 from .decoupling import (
     KEEP_C1,
     KEEP_C2,
+    MIN_HAAR_SAMPLES,
     CutPartition,
     bounds,
     find_simultaneous_unitary,
@@ -59,6 +60,19 @@ class CheckFailed(RuntimeError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse defaults to exit code 2
         raise UsageError(message)
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer >= ``low``; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its invalid-value message
+    return parse
 
 
 def _parse_partition(text: str) -> CutPartition:
@@ -206,10 +220,9 @@ def cmd_decouple(args: argparse.Namespace) -> int:
         "alpha": b.alpha,
         "beta": b.beta,
         "checks": [
-            {"keep": KEEP_C1, "mean_square": check1.mean_square, "std_error": check1.std_error,
-             "bound": check1.bound, "passed": check1.passed},
-            {"keep": KEEP_C2, "mean_square": check2.mean_square, "std_error": check2.std_error,
-             "bound": check2.bound, "passed": check2.passed},
+            {"keep": keep, "mean_square": c.mean_square, "std_error": c.std_error,
+             "bound": c.bound, "passed": c.passed}
+            for keep, c in ((KEEP_C1, check1), (KEEP_C2, check2))
         ],
         "best_residuals": {"eps1": res.eps1, "eps2": res.eps2},
         "accepted": res.accepted,
@@ -372,7 +385,7 @@ def _build_parser() -> _Parser:
 
     pd = sub.add_parser("decouple", help="decoupling bounds, Haar averages, unitary search")
     pd.add_argument("--partition", required=True, help="d1,d2,d3")
-    pd.add_argument("--samples", type=int, default=2000)
+    pd.add_argument("--samples", type=_int_at_least(MIN_HAAR_SAMPLES), default=2000)
     pd.add_argument("--seed", type=int, default=0)
     pd.add_argument("--dim-c", type=int, default=8)
     pd.add_argument("--dim-f", type=int, default=2)
@@ -380,7 +393,7 @@ def _build_parser() -> _Parser:
     pd.add_argument("--omega", default="random", help="pi or random")
     pd.add_argument("--psi", default="random", help="pi or random")
     pd.add_argument("--rank", type=int, default=2, help="rank of random operands")
-    pd.add_argument("--search-budget", type=int, default=64)
+    pd.add_argument("--search-budget", type=_int_at_least(1), default=64)
     pd.set_defaults(func=cmd_decouple)
 
     pp = sub.add_parser("protocol", help="assemble and run the one-shot redistribution")
@@ -389,7 +402,7 @@ def _build_parser() -> _Parser:
     pp.add_argument("--partition", required=True, help="d1,d2,d3")
     pp.add_argument("--seed", type=int, default=0)
     pp.add_argument("--reverse", action="store_true", help="run the reverse redistribution")
-    pp.add_argument("--search-budget", type=int, default=64)
+    pp.add_argument("--search-budget", type=_int_at_least(1), default=64)
     pp.set_defaults(func=cmd_protocol)
 
     pi = sub.add_parser("iid", help="tensor-power experiment with typical projections")
@@ -416,7 +429,7 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, LayoutError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (GuardExceededError, InfeasibleAllocationError, DegenerateProjectionError) as exc:
@@ -425,9 +438,6 @@ def main(argv: "list[str] | None" = None) -> int:
     except (InvariantViolation, CheckFailed) as exc:
         print(f"numerical check failed: {exc}", file=sys.stderr)
         return 3
-    except LayoutError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

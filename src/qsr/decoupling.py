@@ -17,16 +17,17 @@ from typing import Callable
 
 import numpy as np
 
-from .metrics import hermitian_trace_distance, purity
-from .qstate import (
-    DensityOperator,
-    LayoutError,
-    LinearMap,
-    matrix_partial_trace,
-)
-from .sampling import SeededStream, as_generator, haar_unitary_matrix
+from .metrics import purity
+from .qstate import DensityOperator, LayoutError, LinearMap, SystemLayout
+from .sampling import SeededStream, as_generator, haar_unitary_batch, haar_unitary_matrix
 
 DEFAULT_SEARCH_ITERS = 64
+MIN_HAAR_SAMPLES = 100
+
+# Bytes of rotated operators per block in haar_average_check: 64 draws of a
+# 16 x 16 complex operator (d_C = 8 with a qubit side system).
+HAAR_BLOCK_BYTES = 1 << 18
+_ROTATE_PATH = ["einsum_path", (0, 1), (0, 1)]  # U with rho, then with U*; skips per-call planning
 
 KEEP_C1 = "C1"
 KEEP_C2 = "C2"
@@ -82,6 +83,18 @@ class DecouplingResiduals:
                 raise ValueError(f"residual {eps} outside the trace-distance range [0, 2]")
 
 
+def decoupling_bound(d_c: int, d_side: int, rho_purity: float, d_traced: int) -> float:
+    """Haar-average decoupling bound: d_C * d_side * Tr(rho^2) / d_traced^2."""
+    return d_c * d_side * rho_purity / d_traced**2
+
+
+def _keep_index(keep: str) -> int:
+    """0 for keep C1, 1 for keep C2: the kept factor's axis in (C1, C2, C3)."""
+    if keep not in (KEEP_C1, KEEP_C2):
+        raise ValueError(f"keep must be {KEEP_C1!r} or {KEEP_C2!r}, got {keep!r}")
+    return 0 if keep == KEEP_C1 else 1
+
+
 def single_bound(rho: DensityOperator, p: CutPartition, keep: str) -> float:
     """The Haar-average bound for one decoupling condition on ``rho``.
 
@@ -90,11 +103,8 @@ def single_bound(rho: DensityOperator, p: CutPartition, keep: str) -> float:
     """
     d_c = rho.layout.dims[0]
     p.check_total(d_c)
-    d_side = rho.layout.total_dim // d_c
-    traced = p.d23 if keep == KEEP_C1 else p.d13 if keep == KEEP_C2 else None
-    if traced is None:
-        raise ValueError(f"keep must be {KEEP_C1!r} or {KEEP_C2!r}, got {keep!r}")
-    return d_c * d_side * purity(rho) / traced**2
+    traced = (p.d23, p.d13)[_keep_index(keep)]
+    return decoupling_bound(d_c, rho.layout.total_dim // d_c, purity(rho), traced)
 
 
 def bounds(omega: DensityOperator, psi: DensityOperator, p: CutPartition) -> DecouplingBounds:
@@ -109,16 +119,29 @@ def bounds(omega: DensityOperator, psi: DensityOperator, p: CutPartition) -> Dec
     )
 
 
-def _conjugate_first_axis(mat: np.ndarray, d_c: int, u: np.ndarray) -> np.ndarray:
-    """U . rho on the first tensor factor of a (d_c * r) x (d_c * r) matrix."""
-    r = mat.shape[0] // d_c
-    four = mat.reshape(d_c, r, d_c, r)
-    out = np.einsum("ab,bxdy,cd->axcy", u, four, u.conj(), optimize=True)
-    return out.reshape(mat.shape)
+def residual_stack(
+    rho: DensityOperator, us: np.ndarray, p: CutPartition, keep: str
+) -> np.ndarray:
+    """The residual of :func:`residual` for each unitary of a (k, d_C, d_C) stack.
 
-
-def _u_matrix(u: "LinearMap | np.ndarray") -> np.ndarray:
-    return u.matrix if isinstance(u, LinearMap) else np.asarray(u)
+    One einsum rotates ``rho`` by the whole stack, one more traces out the
+    other two factors of C (the side system is kept whole), and one batched
+    ``eigvalsh`` gives all k trace distances.  Memory: a few stacks of k
+    operators of ``rho``'s size.
+    """
+    d_c = rho.layout.dims[0]
+    p.check_total(d_c)
+    if us.ndim != 3 or us.shape[1:] != (d_c, d_c):
+        raise LayoutError(f"unitary stack shape {us.shape} does not match d_C = {d_c}")
+    k, axis, d_s = len(us), _keep_index(keep), rho.layout.total_dim // d_c
+    four = rho.matrix.reshape(d_c, d_s, d_c, d_s)
+    rotated = np.einsum("kab,bxdy,kcd->kaxcy", us, four, us.conj(), optimize=_ROTATE_PATH)
+    split = rotated.reshape((k,) + (p.d1, p.d2, p.d3, d_s) * 2)
+    reduced = np.einsum(("kabcxdbcy->kaxdy", "kabcxaecy->kbxey")[axis], split)
+    d_kept = (p.d1, p.d2)[axis]
+    target = np.kron(np.eye(d_kept) / d_kept, np.einsum("axay->xy", four))
+    diff = reduced.reshape(k, d_kept * d_s, d_kept * d_s) - target
+    return np.abs(np.linalg.eigvalsh(diff)).sum(axis=1)
 
 
 def residual(
@@ -129,26 +152,8 @@ def residual(
     keep C1: || Tr_{C2 C3}[U.rho] - pi_{C1} (x) rho_side ||_1, and symmetrically
     for C2.  ``rho`` lives on C (x) side with C first.
     """
-    d_c = rho.layout.dims[0]
-    p.check_total(d_c)
-    u_mat = _u_matrix(u)
-    if u_mat.shape != (d_c, d_c):
-        raise LayoutError(f"unitary shape {u_mat.shape} does not match d_C = {d_c}")
-    side_dims = rho.layout.dims[1:]
-    rotated = _conjugate_first_axis(rho.matrix, d_c, u_mat)
-
-    split_dims = (p.d1, p.d2, p.d3) + side_dims
-    n_side = len(side_dims)
-    keep_axis = {KEEP_C1: 0, KEEP_C2: 1}.get(keep)
-    if keep_axis is None:
-        raise ValueError(f"keep must be {KEEP_C1!r} or {KEEP_C2!r}, got {keep!r}")
-    keep_axes = [keep_axis] + list(range(3, 3 + n_side))
-    reduced = matrix_partial_trace(rotated, split_dims, keep_axes)
-
-    d_kept = p.d1 if keep == KEEP_C1 else p.d2
-    rho_side = matrix_partial_trace(rho.matrix, (d_c,) + side_dims, list(range(1, 1 + n_side)))
-    target = np.kron(np.eye(d_kept) / d_kept, rho_side)
-    return hermitian_trace_distance(reduced, target)
+    u_mat = u.matrix if isinstance(u, LinearMap) else np.asarray(u)
+    return float(residual_stack(rho, u_mat[None], p, keep)[0])
 
 
 @dataclass(frozen=True)
@@ -171,16 +176,21 @@ def haar_average_check(
 ) -> HaarAverageCheck:
     """Estimate E_U[residual^2] over Haar unitaries and compare with the bound.
 
-    Passes when mean <= bound + 3 * standard error.
+    Passes when mean <= bound + 3 * standard error.  The draws are taken in
+    consecutive blocks of ``HAAR_BLOCK_BYTES // rho.matrix.nbytes`` unitaries
+    (at least one), so the generator yields exactly ``n_samples`` unitaries,
+    the same as one-by-one draws, while the rotated-operator stack stays
+    within the byte budget whatever ``n_samples`` is.
     """
-    if n_samples < 100:
-        raise ValueError(f"need at least 100 samples, got {n_samples}")
+    if n_samples < MIN_HAAR_SAMPLES:
+        raise ValueError(f"need at least {MIN_HAAR_SAMPLES} samples, got {n_samples}")
     rng = as_generator(stream)
     d_c = rho.layout.dims[0]
+    block = max(1, HAAR_BLOCK_BYTES // rho.matrix.nbytes)
     sq = np.empty(n_samples)
-    for i in range(n_samples):
-        u = haar_unitary_matrix(d_c, rng)
-        sq[i] = residual(rho, u, p, keep) ** 2
+    for start in range(0, n_samples, block):
+        us = haar_unitary_batch(min(block, n_samples - start), d_c, rng)
+        sq[start:start + len(us)] = residual_stack(rho, us, p, keep) ** 2
     mean = float(sq.mean())
     se = float(sq.std(ddof=1) / np.sqrt(n_samples))
     bound_value = single_bound(rho, p, keep)
@@ -256,7 +266,5 @@ def find_simultaneous_unitary(
         return (residual(omega, u, p, KEEP_C1), residual(psi, u, p, KEEP_C2))
 
     u, res, iters = search_unitary(d_c, residuals_of, b.alpha, b.beta, max_iters, rng)
-    from .qstate import SystemLayout
-
     layout = SystemLayout.of(("C", d_c))
     return LinearMap(layout, layout, u, kind="unitary"), res, iters

@@ -165,32 +165,12 @@ def string_mask(eigenvalues: np.ndarray, spec: TypicalSpec) -> np.ndarray:
     return (total >= lo) & (total <= hi)
 
 
-def typical_projector_matrix(rho: DensityOperator, spec: TypicalSpec) -> np.ndarray:
-    """Materialized projector onto the typical subspace of rho^(x)n (small n only)."""
-    eigs, vecs = np.linalg.eigh(rho.matrix)
-    d = rho.layout.total_dim
-    if d**spec.n > 4096:
-        raise GuardExceededError(f"projector would be {d**spec.n} dimensional")
-    mask = string_mask(eigs, spec)
-    basis = vecs
-    for _ in range(spec.n - 1):
-        basis = np.kron(basis, vecs)
-    cols = basis[:, mask]
-    return cols @ cols.conj().T
-
-
 def tensor_power(phi: PureState, n: int) -> PureState:
     """phi^(x)n with per-copy labels ``<label><i>`` (copies are 1-based)."""
     out = relabel(phi, {lab: f"{lab}1" for lab in phi.layout.labels})
     for i in range(2, n + 1):
         out = tensor(out, relabel(phi, {lab: f"{lab}{i}" for lab in phi.layout.labels}))
     return out
-
-
-def _group_rotation(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvector matrix of one single-copy group marginal."""
-    eigs, vecs = np.linalg.eigh(rho.matrix)
-    return eigs, vecs
 
 
 def project_typical(
@@ -210,7 +190,7 @@ def project_typical(
     layout = psi.layout
     vec = psi.amplitudes
     for group, rho in steps:
-        eigs, vecs = _group_rotation(rho)
+        eigs, vecs = np.linalg.eigh(rho.matrix)
         d_g = rho.layout.total_dim
         group_dims = rho.layout.dims
         if tuple(lab for lab, _ in rho.layout.subsystems) != tuple(group):

@@ -32,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .decoupling import CutPartition, search_unitary
+from .decoupling import CutPartition, decoupling_bound, search_unitary
 from .metrics import hermitian_trace_distance, pure_trace_distance, role_groups
 from .qstate import (
     InvariantViolation,
@@ -51,6 +51,7 @@ from .qstate import (
     relabel,
     split_subsystem,
     tensor,
+    vector_apply,
     vector_partial_trace,
 )
 from .sampling import SeededStream, as_generator
@@ -123,8 +124,8 @@ def eta_bounds(refs: ReferencePair, p: CutPartition) -> tuple[float, float]:
     p.check_total(d_c)
     pur_hat = marginal_purity(hat.amplitudes, dims, [_AX["C"], _AX["B"], _AX["R"]])
     pur_check = marginal_purity(check.amplitudes, dims, [_AX["C"], _AX["A"], _AX["R"]])
-    eta1 = 2.0 * (2.0 * d_c * (d_b * d_r) * pur_hat / p.d13**2) ** 0.25
-    eta2 = 2.0 * (2.0 * d_c * (d_a * d_r) * pur_check / p.d23**2) ** 0.25
+    eta1 = 2.0 * (2.0 * decoupling_bound(d_c, d_b * d_r, pur_hat, p.d13)) ** 0.25
+    eta2 = 2.0 * (2.0 * decoupling_bound(d_c, d_a * d_r, pur_check, p.d23)) ** 0.25
     return eta1, eta2
 
 
@@ -204,7 +205,7 @@ def _decoupling_residuals(
     """
     dims = ref.layout.dims
     d_c = dims[0]
-    rotated, _ = _rotate_c(ref.amplitudes, dims, u)
+    rotated, _ = vector_apply(ref.amplitudes, dims, [0], u, (dims[0],))
     split_dims = (p.d1, p.d2, p.d3) + dims[1:]
     if keep_role == "C2":
         keep_axes = [_SPLIT_AX["C2"], _SPLIT_AX["B"], _SPLIT_AX["R"]]
@@ -220,12 +221,6 @@ def _decoupling_residuals(
     side = vector_partial_trace(ref.amplitudes, dims, side_axes)
     target = np.kron(np.eye(d_kept) / d_kept, side)
     return hermitian_trace_distance(reduced, target)
-
-
-def _rotate_c(vec: np.ndarray, dims: tuple[int, ...], u: np.ndarray) -> tuple[np.ndarray, tuple]:
-    from .qstate import vector_apply
-
-    return vector_apply(vec, dims, [0], u, (dims[0],))
 
 
 def build_plan(
@@ -260,12 +255,10 @@ def build_plan(
 
     # Bounds: alpha governs keeping C1 of the check reference, beta keeping C2
     # of the hat reference (matching the two residuals below).
-    alpha_check = d_c * (d_a * d_r) * marginal_purity(
-        check.amplitudes, dims, [_AX["C"], _AX["A"], _AX["R"]]
-    ) / p.d23**2
-    beta_hat = d_c * (d_b * d_r) * marginal_purity(
-        hat.amplitudes, dims, [_AX["C"], _AX["B"], _AX["R"]]
-    ) / p.d13**2
+    pur_check = marginal_purity(check.amplitudes, dims, [_AX["C"], _AX["A"], _AX["R"]])
+    pur_hat = marginal_purity(hat.amplitudes, dims, [_AX["C"], _AX["B"], _AX["R"]])
+    alpha_check = decoupling_bound(d_c, d_a * d_r, pur_check, p.d23)
+    beta_hat = decoupling_bound(d_c, d_b * d_r, pur_hat, p.d13)
 
     def residuals_of(u: np.ndarray) -> tuple[float, float]:
         return (

@@ -54,19 +54,27 @@ def ginibre(d_out: int, d_in: int, rng: np.random.Generator) -> np.ndarray:
     return (rng.standard_normal((d_out, d_in)) + 1j * rng.standard_normal((d_out, d_in))) / np.sqrt(2.0)
 
 
-def haar_unitary_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed d x d unitary via QR of a Ginibre matrix.
+def haar_unitary_batch(k: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """A (k, d, d) stack of Haar-distributed unitaries via QR of Ginibre matrices.
 
-    The columns of Q are rescaled by the phases of R's diagonal; without this
-    correction the QR output is not Haar distributed.
+    Draw order: unitary i consumes ``rng`` for its d x d real part, then its
+    imaginary part, before unitary i + 1.  So one stack of k, k single draws,
+    or any split of k into consecutive stacks yield bit-identical unitaries.
+    The columns of each Q are rescaled by the phases of R's diagonal; without
+    this correction the QR output is not Haar distributed.  Memory is
+    O(k d^2): callers bound k to bound it.
     """
     if d < 1:
         raise LayoutError(f"dimension {d} < 1")
-    z = ginibre(d, d, rng)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    phases = diag / np.abs(diag)
-    return q * phases
+    g = rng.standard_normal((k, 2, d, d))
+    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+def haar_unitary_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
+    """One Haar-distributed d x d unitary (a stack of one)."""
+    return haar_unitary_batch(1, d, rng)[0]
 
 
 def haar_unitary(

@@ -88,6 +88,30 @@ def enumerate_typical(eigenvalues: np.ndarray, n: int, delta: float) -> tuple[in
     return rank, weight
 
 
+def typical_projector(rho: np.ndarray, n: int, delta: float) -> np.ndarray:
+    """Projector onto the typical subspace of rho^(x)n, summed string by string.
+
+    Same window as ``enumerate_typical``: eigenvector product strings whose
+    summed log2 eigenvalue lies in [-n (S + delta), -n (S - delta)].
+    """
+    lam, vecs = np.linalg.eigh(rho)
+    lam = np.clip(lam, 0.0, 1.0)
+    probs = lam[lam > 1e-12]
+    entropy = float(-(probs * np.log2(probs)).sum())
+    out = np.zeros((lam.size**n, lam.size**n), dtype=complex)
+    for string in itertools.product(range(lam.size), repeat=n):
+        if min(lam[s] for s in string) <= 0.0:
+            continue
+        lp = 0.0
+        vec = np.ones(1, dtype=complex)
+        for s in string:
+            lp += math.log2(lam[s])
+            vec = np.kron(vec, vecs[:, s])
+        if -n * (entropy + delta) <= lp <= -n * (entropy - delta):
+            out += np.outer(vec, vec.conj())
+    return out
+
+
 def multinomial(n: int, counts: tuple[int, ...]) -> int:
     out = 1
     rem = n

@@ -16,7 +16,7 @@ from qsr.decoupling import (
     KEEP_C2,
     CutPartition,
     condition_met,
-    residual,
+    residual_stack,
     single_bound,
 )
 from qsr.iid import TypicalSpec, iid_experiment, project_typical, tensor_power, typical_stats
@@ -28,7 +28,13 @@ from qsr.metrics import (
 from qsr.presets import PRESET_ROLES, preset_state
 from qsr.protocol import build_plan, canonicalize, initial_state, run_forward, run_reverse
 from qsr.qstate import InvariantViolation, SystemLayout, partial_trace
-from qsr.sampling import SeededStream, haar_unitary_matrix, random_density, random_pure_state
+from qsr.sampling import (
+    SeededStream,
+    haar_unitary_batch,
+    haar_unitary_matrix,
+    random_density,
+    random_pure_state,
+)
 from qsr.uhlmann import uhlmann_isometry
 from qsr.qstate import PureState
 
@@ -115,22 +121,17 @@ def decoupling_monte_carlo():
         beta = single_bound(psi, p, KEEP_C2)
         rng = SeededStream(1004).derive(inst).generator()
         n = 2000
-        sq1 = np.empty(n)
-        hits1 = hits2 = 0
-        for i in range(n):
-            u = haar_unitary_matrix(8, rng)
-            e1 = residual(omega, u, p, KEEP_C1)
-            e2 = residual(psi, u, p, KEEP_C2)
-            sq1[i] = e1 * e1
-            hits1 += condition_met(e1, alpha)
-            hits2 += condition_met(e2, beta)
+        us = haar_unitary_batch(n, 8, rng)
+        e1 = residual_stack(omega, us, p, KEEP_C1)
+        e2 = residual_stack(psi, us, p, KEEP_C2)
+        sq1 = e1 * e1
         results.append({
             "alpha": alpha,
             "beta": beta,
             "mean_sq": float(sq1.mean()),
             "se": float(sq1.std(ddof=1) / np.sqrt(n)),
-            "freq1": hits1 / n,
-            "freq2": hits2 / n,
+            "freq1": int(np.count_nonzero(condition_met(e1, alpha))) / n,
+            "freq2": int(np.count_nonzero(condition_met(e2, beta))) / n,
             "n": n,
         })
     return results, time.perf_counter() - t0

@@ -148,5 +148,16 @@ class TestExitCodes:
                                "--delta", "0.4", "--seed", "1")
         assert code == 2 and "eta" in err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (("decouple", "--partition", "2,2,2", "--samples", "50"), "--samples"),
+        (("decouple", "--partition", "2,2,2", "--search-budget", "0"), "--search-budget"),
+        (("protocol", "--state", "bell-CA", "--partition", "1,2,1", "--search-budget", "0"),
+         "--search-budget"),
+    ])
+    def test_out_of_range_counts_are_usage_errors(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and flag in err and "Traceback" not in err
+
     def test_missing_subcommand_is_usage(self, capsys):
         assert run_cli(capsys, )[0] == 1

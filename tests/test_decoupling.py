@@ -1,17 +1,21 @@
 """Decoupling bounds, residuals, Haar averages, and the unitary search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qsr.decoupling import (
     KEEP_C1,
     KEEP_C2,
+    HAAR_BLOCK_BYTES,
     CutPartition,
     bounds,
     condition_met,
     find_simultaneous_unitary,
     haar_average_check,
     residual,
+    residual_stack,
     single_bound,
 )
 from qsr.metrics import hermitian_trace_distance
@@ -22,7 +26,7 @@ from qsr.qstate import (
     maximally_mixed,
     tensor,
 )
-from qsr.sampling import SeededStream, haar_unitary_matrix, random_density
+from qsr.sampling import SeededStream, haar_unitary_batch, haar_unitary_matrix, random_density
 
 from oracles import loop_partial_trace
 
@@ -114,6 +118,47 @@ class TestResidual:
         assert eps < 1e-14
 
 
+class TestResidualStack:
+    @staticmethod
+    def _oracle(rho, u, p, keep):
+        """Rotate by U (x) 1, loop partial trace, trace norm from singular values."""
+        d_c, side = rho.layout.dims[0], rho.layout.dims[1:]
+        d_side = rho.layout.total_dim // d_c
+        full_u = np.kron(u, np.eye(d_side))
+        rotated = full_u @ rho.matrix @ full_u.conj().T
+        side_axes = list(range(3, 3 + len(side)))
+        keep_axis = 0 if keep == KEEP_C1 else 1
+        reduced = loop_partial_trace(rotated, (p.d1, p.d2, p.d3) + side, [keep_axis] + side_axes)
+        rho_side = loop_partial_trace(rho.matrix, (d_c,) + side, [a - 2 for a in side_axes])
+        d_kept = (p.d1, p.d2)[keep_axis]
+        target = np.kron(np.eye(d_kept) / d_kept, rho_side)
+        return np.linalg.svd(reduced - target, compute_uv=False).sum()
+
+    @pytest.mark.parametrize("keep", [KEEP_C1, KEEP_C2])
+    @pytest.mark.parametrize(
+        "side,cut",
+        [
+            ((("F", 2),), (2, 2, 2)),
+            ((("F", 2), ("G", 3)), (2, 2, 2)),  # two-factor side system
+            ((("F", 2),), (1, 4, 2)),           # d1 = 1
+            ((("F", 3),), (2, 4, 1)),           # d3 = 1
+        ],
+    )
+    def test_matches_loop_oracle(self, side, cut, keep):
+        rho = random_density(SystemLayout.of(("C", 8), *side), 3, SeededStream(64).derive(len(side)))
+        p = CutPartition(*cut)
+        us = haar_unitary_batch(3, 8, SeededStream(65).generator())
+        got = residual_stack(rho, us, p, keep)
+        assert got.shape == (3,)
+        for u, eps in zip(us, got):
+            assert abs(eps - self._oracle(rho, u, p, keep)) < 1e-12
+            assert abs(eps - residual(rho, u, p, keep)) < 1e-14
+
+    def test_stack_shape_must_match(self):
+        with pytest.raises(LayoutError):
+            residual_stack(_rank2(8, 2, 15), np.eye(4)[None], CutPartition(2, 2, 2), KEEP_C1)
+
+
 class TestHaarAverage:
     def test_maximally_mixed_mean_zero(self):
         omega = tensor(maximally_mixed(4, "C"), maximally_mixed(2, "F"))
@@ -150,6 +195,31 @@ class TestHaarAverage:
         ratio = small.std_error / big.std_error
         assert 6.0 < ratio < 16.0  # sqrt(100) = 10 up to estimator noise
 
+    def test_blocked_draws_match_one_by_one_loop(self):
+        # 150 draws are not a multiple of the block (64 at this operand size);
+        # the blocks must consume the generator exactly like single draws.
+        omega = _rank2(8, 2, 16)
+        p = CutPartition(2, 2, 2)
+        assert 150 % (HAAR_BLOCK_BYTES // omega.matrix.nbytes) != 0
+        rng = SeededStream(66).generator()
+        sq = [residual(omega, haar_unitary_matrix(8, rng), p, KEEP_C2) ** 2 for _ in range(150)]
+        chk = haar_average_check(omega, p, KEEP_C2, 150, SeededStream(66))
+        assert abs(chk.mean_square - np.mean(sq)) < 1e-12
+        assert abs(chk.std_error - np.std(sq, ddof=1) / np.sqrt(150)) < 1e-12
+
+    def test_memory_does_not_grow_with_samples(self):
+        omega = _rank2(8, 2, 17)
+        p = CutPartition(2, 2, 2)
+        peaks = []
+        for n in (200, 20_000):
+            tracemalloc.start()
+            try:
+                haar_average_check(omega, p, KEEP_C1, n, SeededStream(67))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0], peaks
+
     def test_minimum_sample_size(self):
         omega = _rank2(4, 2, 9)
         with pytest.raises(ValueError):
@@ -180,13 +250,10 @@ class TestSimultaneousSearch:
         p = CutPartition(2, 2, 2)
         alpha = single_bound(omega, p, KEEP_C1)
         beta = single_bound(psi, p, KEEP_C2)
-        rng = SeededStream(62).generator()
         n = 400
-        hits1 = hits2 = 0
-        for _ in range(n):
-            u = haar_unitary_matrix(8, rng)
-            hits1 += condition_met(residual(omega, u, p, KEEP_C1), alpha)
-            hits2 += condition_met(residual(psi, u, p, KEEP_C2), beta)
+        us = haar_unitary_batch(n, 8, SeededStream(62).generator())
+        hits1 = np.count_nonzero(condition_met(residual_stack(omega, us, p, KEEP_C1), alpha))
+        hits2 = np.count_nonzero(condition_met(residual_stack(psi, us, p, KEEP_C2), beta))
         for hits in (hits1, hits2):
             f = hits / n
             assert f > 0.5 - 3 * np.sqrt(0.25 / n)

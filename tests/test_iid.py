@@ -15,7 +15,6 @@ from qsr.iid import (
     project_typical,
     string_mask,
     tensor_power,
-    typical_projector_matrix,
     typical_stats,
 )
 from qsr.metrics import ResourceRates, pure_trace_distance, resource_rates
@@ -24,7 +23,7 @@ from qsr.protocol import canonicalize
 from qsr.qstate import DensityOperator, SystemLayout, partial_trace
 from qsr.sampling import SeededStream, random_pure_state
 
-from oracles import enumerate_typical, multinomial
+from oracles import enumerate_typical, multinomial, typical_projector
 
 
 class TestTypicalStats:
@@ -90,7 +89,7 @@ class TestProjectorMatrix:
     def test_projector_properties(self):
         rho = DensityOperator(SystemLayout.of(("C", 2)), np.diag([0.8, 0.2]))
         spec = TypicalSpec(n=4, delta=0.3)
-        pi = typical_projector_matrix(rho, spec)
+        pi = typical_projector(rho.matrix, spec.n, spec.delta)
         np.testing.assert_allclose(pi, pi.conj().T, atol=1e-12)
         np.testing.assert_allclose(pi @ pi, pi, atol=1e-12)
         assert abs(np.trace(pi).real - typical_stats(rho, spec).rank) < 1e-9
@@ -133,7 +132,7 @@ class TestProjectTypical:
         psi = tensor_power(phi, 2)
         omega, prob = project_typical(psi, [(("B", "R"), rho_br)], spec)
 
-        pi = typical_projector_matrix(rho_br, spec)  # acts on (B1 R1 B2 R2)
+        pi = typical_projector(rho_br.matrix, spec.n, spec.delta)  # acts on (B1 R1 B2 R2)
         from qsr.qstate import permute
 
         reordered = permute(psi, ("C1", "C2", "A1", "A2", "B1", "R1", "B2", "R2"))

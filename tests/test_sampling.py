@@ -7,7 +7,9 @@ from qsr.qstate import LayoutError, SystemLayout
 from qsr.metrics import purity
 from qsr.sampling import (
     SeededStream,
+    ginibre,
     haar_unitary,
+    haar_unitary_batch,
     haar_unitary_matrix,
     random_density,
     random_pure_state,
@@ -51,6 +53,27 @@ class TestHaarUnitary:
             vals[i] = abs(haar_unitary_matrix(4, rng)[0, 0]) ** 2
         se = vals.std(ddof=1) / np.sqrt(n)
         assert abs(vals.mean() - 0.25) < 3 * se
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_batch_is_bit_identical_to_single_draws(self, d):
+        # Reference: one QR of ginibre(d, d) per unitary.  150 draws as one
+        # stack, as consecutive stacks of 64, 64 and 22 (150 is not a multiple
+        # of 64), and one at a time must all consume the generator alike.
+        def reference(rng):
+            q, r = np.linalg.qr(ginibre(d, d, rng))
+            diag = np.diagonal(r)
+            return q * (diag / np.abs(diag))
+
+        rng = SeededStream(9).generator()
+        want = np.stack([reference(rng) for _ in range(150)])
+        whole = haar_unitary_batch(150, d, SeededStream(9).generator())
+        rng = SeededStream(9).generator()
+        blocks = np.concatenate([haar_unitary_batch(k, d, rng) for k in (64, 64, 22)])
+        rng = SeededStream(9).generator()
+        singles = np.stack([haar_unitary_matrix(d, rng) for _ in range(150)])
+        assert whole.shape == (150, d, d)
+        for got in (whole, blocks, singles):
+            assert np.array_equal(got, want)
 
     def test_linear_map_wrapper(self):
         m = haar_unitary(4, SeededStream(3), label="C")
