@@ -325,17 +325,22 @@ def cmd_iid(args: argparse.Namespace) -> int:
             lo, hi = (int(x) for x in args.sweep.split(".."))
         except ValueError as exc:
             raise UsageError(f"--sweep wants n1..n2, got {args.sweep!r}") from exc
+        if lo > hi:
+            raise UsageError(f"--sweep {args.sweep!r} is empty: n1 must not exceed n2")
         ns = list(range(lo, hi + 1))
     elif args.n is not None:
         ns = [args.n]
     else:
         raise UsageError("iid needs --n or --sweep")
+    try:
+        specs = [TypicalSpec(n=n, delta=args.delta, t=args.t) for n in ns]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
     rows = []
-    for n in ns:
-        spec = TypicalSpec(n=n, delta=args.delta, t=args.t)
+    for spec in specs:
         t0 = time.perf_counter()
-        rep = iid_experiment(state, roles, spec, stream=stream.derive(n), guard=args.guard)
+        rep = iid_experiment(state, roles, spec, stream=stream.derive(spec.n), guard=args.guard)
         elapsed = time.perf_counter() - t0
         results = _iid_results(rep)
         if args.sweep:
@@ -344,7 +349,7 @@ def cmd_iid(args: argparse.Namespace) -> int:
             _emit(_report(
                 "iid",
                 {"state_digest": digest, "seed": args.seed, "flags": {
-                    "state": args.state, "roles": args.roles, "n": n,
+                    "state": args.state, "roles": args.roles, "n": spec.n,
                     "delta": args.delta, "t": args.t, "guard": args.guard}},
                 results,
                 {"total_s": elapsed},

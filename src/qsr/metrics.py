@@ -45,6 +45,19 @@ def hermitian_trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(a - b)).sum())
 
 
+def gram_trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """||a a* - b b*||_1 for column factors a (d x k1) and b (d x k2).
+
+    When k1 + k2 < d the difference lives in the span of [a | b]; the R factor
+    of its thin QR carries it onto a (k1 + k2)-wide matrix.
+    """
+    k1 = a.shape[1]
+    if k1 + b.shape[1] < a.shape[0]:
+        r = np.linalg.qr(np.hstack([a, b]), mode="r")
+        a, b = r[:, :k1], r[:, k1:]
+    return float(np.abs(np.linalg.eigvalsh(a @ a.conj().T - b @ b.conj().T)).sum())
+
+
 def pure_trace_distance(u: np.ndarray, v: np.ndarray) -> float:
     """||uu* - vv*||_1 for (possibly subnormalized) vectors.
 

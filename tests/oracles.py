@@ -119,3 +119,19 @@ def multinomial(n: int, counts: tuple[int, ...]) -> int:
         out *= math.comb(rem, c)
         rem -= c
     return out
+
+
+def uhlmann_polar(m: np.ndarray, n: np.ndarray) -> tuple[float, float, float]:
+    """(overlap, eps_in, distance_out) of aligning m (d_S x d_B) onto n (d_S x d_C).
+
+    Rows index the shared system.  Uses the dense SVD of the whole cross
+    operator X = n^H m, its polar factor, and trace norms of explicit
+    outer-product differences.
+    """
+    u, s, vh = np.linalg.svd(n.conj().T @ m, full_matrices=False)
+    k = (u @ vh).conj()
+    moved = (m @ k.T).reshape(-1)
+    target = n.reshape(-1)
+    eps_in = np.abs(np.linalg.eigvalsh(m @ m.conj().T - n @ n.conj().T)).sum()
+    diff = np.outer(moved, moved.conj()) - np.outer(target, target.conj())
+    return float(s.sum()), float(eps_in), float(np.abs(np.linalg.eigvalsh(diff)).sum())

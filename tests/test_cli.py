@@ -119,6 +119,14 @@ class TestIid:
         res = rec["results"]
         assert res["per_copy_qubits"] == 0 and res["distance_to_target"] <= 1e-6
 
+    def test_delta_on_a_type_class_boundary(self, capsys):
+        # This delta puts a type class exactly on the window edge, where a
+        # running sum over copies and the per-type sum round differently.
+        rec = run_json(capsys, "iid", "--state", "tilted-CR", "--n", "7",
+                       "--delta", "2.127125289449806")
+        res = rec["results"]
+        assert res["typical_rank"] == res["d1"] * res["d2"] * res["d3"] - res["padding"] == 128
+
     def test_sweep_emits_csv(self, capsys):
         code, out, err = run_cli(capsys, "iid", "--state", "bell-CR", "--sweep", "2..3",
                                  "--delta", "0.08", "--t", "1.5", "--seed", "1")
@@ -158,6 +166,19 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and flag in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,text", [
+        (("--n", "0"), "n must be >= 1"),
+        (("--n", "2", "--delta", "-1"), "delta must be > 0"),
+        (("--n", "2", "--delta", "nan"), "delta must be > 0"),
+        (("--n", "2", "--t", "1"), "t must be > 1"),
+        (("--n", "2", "--t", "inf"), "t must be > 1"),
+        (("--sweep", "5..2"), "--sweep"),
+    ])
+    def test_iid_domain_errors_are_usage_errors(self, capsys, argv, text):
+        code, out, err = run_cli(capsys, "iid", "--state", "bell-CR", *argv)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and text in err and "Traceback" not in err
 
     def test_missing_subcommand_is_usage(self, capsys):
         assert run_cli(capsys, )[0] == 1

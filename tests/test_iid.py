@@ -234,6 +234,16 @@ class TestExperimentDriver:
         assert abs(rep.per_copy_ebits_consumed - 1.0) <= 6 * spec.t * spec.delta + 2.0 / spec.n
         assert rep.protocol.distance_to_target <= 1e-6
 
+    @pytest.mark.parametrize("preset", ["bell-CA", "ghz-CBR"])
+    def test_wide_alignments_meet_the_bounds(self, preset):
+        # n = 5: shared dimension 8 against an 8192 x 128 encoder cross operator
+        # (bell-CA), 64 against a 2048 x 512 decoder one (ghz-CBR).
+        rep = iid_experiment(preset_state(preset), PRESET_ROLES,
+                             TypicalSpec(n=5, delta=0.05, t=1.5), SeededStream(130))
+        assert rep.protocol.distance_to_target <= rep.protocol.measured_bound
+        if preset.startswith("bell-"):
+            assert rep.protocol.distance_to_target <= 1e-6
+
     def test_bell_cr_rate_approaches_one(self):
         rep = iid_experiment(preset_state("bell-CR"), PRESET_ROLES,
                              TypicalSpec(n=4, delta=0.05, t=1.5), SeededStream(122))

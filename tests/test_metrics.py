@@ -6,6 +6,8 @@ import pytest
 from qsr.metrics import (
     ResourceRates,
     conditional_mutual_information,
+    gram_trace_distance,
+    hermitian_trace_distance,
     marginal_entropy,
     mutual_information,
     pure_trace_distance,
@@ -82,6 +84,31 @@ class TestTraceDistance:
     def test_trace_norm_requires_square(self):
         with pytest.raises(ValueError):
             trace_norm(np.ones((2, 3)))
+
+
+class TestGramTraceDistance:
+    @staticmethod
+    def _factor(rng, d, k, rank):
+        g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+        f = g @ (rng.standard_normal((rank, k)) + 1j * rng.standard_normal((rank, k)))
+        return f / np.linalg.norm(f)
+
+    # (12, 2, 3) takes the thin-QR branch (k1 + k2 < d), (6, 4, 5) the dense one.
+    @pytest.mark.parametrize("d,k1,k2", [(12, 2, 3), (6, 4, 5)])
+    def test_matches_dense_difference_on_rank_deficient_factors(self, d, k1, k2):
+        rng = SeededStream(5).derive(d).generator()
+        for rank in (1, 2):
+            a, b = self._factor(rng, d, k1, rank), self._factor(rng, d, k2, rank)
+            want = hermitian_trace_distance(a @ a.conj().T, b @ b.conj().T)
+            assert abs(gram_trace_distance(a, b) - want) < 1e-12
+
+    @pytest.mark.parametrize("d,k", [(12, 3), (6, 4)])
+    def test_equal_grams_give_zero(self, d, k):
+        rng = SeededStream(6).derive(d).generator()
+        a = self._factor(rng, d, k, 2)
+        rotation = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+        assert gram_trace_distance(a, a) < 1e-12
+        assert gram_trace_distance(a, a @ rotation) < 1e-12
 
 
 class TestPurityEntropy:

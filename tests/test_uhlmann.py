@@ -1,5 +1,7 @@
 """Purification alignment: cross operator, polar isometry, distance guarantees."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,9 @@ from qsr.qstate import (
     vector_partial_trace,
 )
 from qsr.sampling import SeededStream, haar_unitary_matrix, random_pure_state
-from qsr.uhlmann import cross_operator, uhlmann_isometry
+from qsr.uhlmann import _complete_columns, cross_operator, uhlmann_isometry
 
-from oracles import uhlmann_fidelity
+from oracles import uhlmann_fidelity, uhlmann_polar
 
 
 def _pair(tag, d_a=3, d_b=2, d_c=4, noise=0.05):
@@ -155,10 +157,6 @@ class TestUhlmannIsometry:
         # Large rank-deficient cross operators appear when the protocol's
         # encoder target is much bigger than its input; the completion must
         # stay fast and exactly orthonormal.
-        import time
-
-        from qsr.uhlmann import _complete_columns
-
         rng = SeededStream(82).generator()
         d, k, count = 20_000, 16, 200
         head = np.linalg.qr(rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k)))[0]
@@ -167,6 +165,20 @@ class TestUhlmannIsometry:
         elapsed = time.perf_counter() - t0
         full = np.hstack([head, tail])
         np.testing.assert_allclose(full.conj().T @ full, np.eye(k + count), atol=1e-10)
+        assert elapsed < 30.0, f"completion took {elapsed:.1f} s"
+
+    @pytest.mark.parametrize("d,k", [(4, 2), (512, 256)])
+    def test_completion_of_paired_columns(self, d, k):
+        # Columns (e_2i + e_2i+1)/sqrt 2 give every row the same mass, so the
+        # least-mass rows include whole pairs, which are dependent once span(h)
+        # is projected out: the pivoted row choice has to take over.
+        head = np.zeros((d, k), dtype=complex)
+        head[2 * np.arange(k), np.arange(k)] = head[2 * np.arange(k) + 1, np.arange(k)] = 0.5**0.5
+        t0 = time.perf_counter()
+        tail = _complete_columns(head, d - k)
+        elapsed = time.perf_counter() - t0
+        full = np.hstack([head, tail])
+        np.testing.assert_allclose(full.conj().T @ full, np.eye(d), atol=1e-10)
         assert elapsed < 30.0, f"completion took {elapsed:.1f} s"
 
     def test_multi_label_shared_systems(self):
@@ -179,3 +191,57 @@ class TestUhlmannIsometry:
         np.testing.assert_allclose(k.conj().T @ k, np.eye(3), atol=1e-10)
         assert res.isometry.input_layout.labels == ("B",)
         assert res.isometry.output_layout.labels == ("C",)
+
+
+def _tied_rows(d_s, d_own, label, angle):
+    """GHZ-like purification on S (x) own: cos|0>|p0> + sin|1>|p1>, p_j = (e_2j + e_2j+1)/sqrt 2."""
+    amps = np.zeros((d_s, d_own), dtype=complex)
+    amps[0, [0, 1]] = np.cos(angle) * 0.5**0.5
+    amps[1, [2, 3]] = np.sin(angle) * 0.5**0.5
+    return PureState(SystemLayout.of(("S", d_s), (label, d_own)), amps)
+
+
+def _wide_random(tag, d_s, d_b, d_c):
+    mu = random_pure_state(SystemLayout.of(("S", d_s), ("B", d_b)), SeededStream(83).derive(tag))
+    nu = random_pure_state(SystemLayout.of(("S", d_s), ("C", d_c)), SeededStream(84).derive(tag))
+    return mu, nu
+
+
+WIDE_PAIRS = {
+    "random-2-8-16": lambda: _wide_random(0, 2, 8, 16),
+    "random-3-8-8": lambda: _wide_random(1, 3, 8, 8),
+    "random-1-4-6": lambda: _wide_random(2, 1, 4, 6),
+    "noisy-2-8-16": lambda: _pair(7, d_a=2, d_b=8, d_c=16, noise=0.1),
+    "tied-exact-8-8": lambda: (_tied_rows(2, 8, "B", np.pi / 4), _tied_rows(2, 8, "C", np.pi / 4)),
+    "tied-tilted-8-16": lambda: (_tied_rows(2, 8, "B", np.pi / 4), _tied_rows(2, 16, "C", 0.6)),
+}
+
+
+class TestFactoredAlignment:
+    """d_S < d_B: the polar factor comes from the d_S x d_S core, not a dense SVD."""
+
+    @pytest.mark.parametrize("case", sorted(WIDE_PAIRS))
+    def test_matches_dense_polar_oracle(self, case):
+        mu, nu = WIDE_PAIRS[case]()  # both list the shared label first
+        shared, d_s = mu.layout.subsystems[0]
+        overlap, eps_in, distance = uhlmann_polar(
+            mu.amplitudes.reshape(d_s, -1), nu.amplitudes.reshape(d_s, -1)
+        )
+        res = uhlmann_isometry(mu, nu, [shared])
+        assert abs(res.achieved_overlap - overlap) < 1e-12
+        assert abs(res.epsilon_in - eps_in) < 1e-12
+        assert abs(res.distance_out - distance) < 1e-12
+        k = res.isometry.matrix
+        np.testing.assert_allclose(k.conj().T @ k, np.eye(k.shape[1]), atol=1e-10)
+
+    def test_shared_labels_in_different_orders(self):
+        # nu lists the shared labels in the opposite order; both marginals must
+        # still be compared in one basis.
+        mu = random_pure_state(SystemLayout.of(("S1", 2), ("S2", 2), ("B", 8)), SeededStream(85))
+        nu = random_pure_state(SystemLayout.of(("S2", 2), ("C", 8), ("S1", 2)), SeededStream(86))
+        n = nu.amplitudes.reshape(2, 8, 2).transpose(2, 0, 1).reshape(4, 8)
+        overlap, eps_in, distance = uhlmann_polar(mu.amplitudes.reshape(4, 8), n)
+        res = uhlmann_isometry(mu, nu, ["S1", "S2"])
+        assert abs(res.achieved_overlap - overlap) < 1e-12
+        assert abs(res.epsilon_in - eps_in) < 1e-12
+        assert abs(res.distance_out - distance) < 1e-12
