@@ -128,7 +128,7 @@ def _load_state(spec: str, stream: SeededStream) -> tuple[PureState, dict[str, s
             raise UsageError(f"--state {spec!r} is neither a preset ({', '.join(PRESET_NAMES)}) nor a file")
         try:
             state = state_from_json(path.read_text())
-        except (LayoutError, InvariantViolation) as exc:
+        except (OSError, ValueError) as exc:  # unreadable, not text, or not a valid state
             raise UsageError(f"{spec}: {exc}") from exc
         roles = {lab: lab for lab in state.layout.labels if lab in ("C", "A", "B", "R")}
     digest = hashlib.sha256(state_to_json(state).encode()).hexdigest()
@@ -367,7 +367,10 @@ def cmd_sample_state(args: argparse.Namespace) -> int:
     state = random_pure_state(layout, SeededStream(args.seed))
     text = state_to_json(state)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"--out {args.out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0

@@ -40,8 +40,6 @@ from .qstate import (
     SystemLayout,
     apply_unchecked,
     permute_unchecked,
-    relabel,
-    tensor,
 )
 from .sampling import SeededStream
 
@@ -176,10 +174,11 @@ def string_mask(eigenvalues: np.ndarray, spec: TypicalSpec) -> np.ndarray:
 
 def tensor_power(phi: PureState, n: int) -> PureState:
     """phi^(x)n with per-copy labels ``<label><i>`` (copies are 1-based)."""
-    out = relabel(phi, {lab: f"{lab}1" for lab in phi.layout.labels})
-    for i in range(2, n + 1):
-        out = tensor(out, relabel(phi, {lab: f"{lab}{i}" for lab in phi.layout.labels}))
-    return out
+    subsystems = [(f"{lab}{i}", d) for i in range(1, n + 1) for lab, d in phi.layout.subsystems]
+    vec = phi.amplitudes
+    for _ in range(n - 1):
+        vec = np.kron(vec, phi.amplitudes)
+    return PureState(SystemLayout(tuple(subsystems)), vec)
 
 
 def project_typical(

@@ -40,17 +40,13 @@ from .qstate import (
     LinearMap,
     PureState,
     SystemLayout,
-    apply,
     apply_unchecked,
     marginal_purity,
     maximally_entangled,
     merge_subsystems,
     permute,
     permute_unchecked,
-    reinterpret,
-    relabel,
     split_subsystem,
-    tensor,
     vector_apply,
     vector_partial_trace,
 )
@@ -59,23 +55,17 @@ from .uhlmann import UhlmannResult, uhlmann_isometry
 
 CANONICAL_ROLES = ("C", "A", "B", "R")
 
-# Axis positions in the canonical (C, A, B, R) layout and its split variant.
-_AX = {"C": 0, "A": 1, "B": 2, "R": 3}
-_SPLIT_AX = {"C1": 0, "C2": 1, "C3": 2, "A": 3, "B": 4, "R": 5}
-
 
 def canonicalize(phi: PureState, roles: Mapping[str, str]) -> PureState:
     """Merge role groups into the canonical four-subsystem layout C, A, B, R."""
     groups = role_groups(phi.layout.labels, roles)
     ordered = [lab for role in CANONICAL_ROLES for lab in groups[role]]
-    state = permute(phi, ordered)
-    layout = state.layout
+    layout, vec = permute_unchecked(phi.layout, phi.amplitudes, ordered)
     # Merge under temporary names first: a label may equal another group's
     # role (e.g. swapping the A and B assignments).
     for role in CANONICAL_ROLES:
         layout = merge_subsystems(layout, groups[role], f"role:{role}")
-    state = reinterpret(state, layout)
-    return relabel(state, {f"role:{role}": role for role in CANONICAL_ROLES})
+    return PureState(layout.renamed({f"role:{role}": role for role in CANONICAL_ROLES}), vec)
 
 
 IDENTITY_ROLES = {r: r for r in CANONICAL_ROLES}
@@ -112,21 +102,83 @@ class ReferencePair:
         return ReferencePair(hat, check, gamma(hat), gamma(check))
 
 
+@dataclass(frozen=True)
+class _Half:
+    """One half of the protocol, named by its systems.
+
+    ``kept`` is the factor of C = C1 C2 C3 that U must decouple and
+    ``partner`` its ebit partner; ``renames`` primes the reference systems
+    that the half's isometry outputs; ``shared`` are the systems the
+    isometry leaves alone: the kept factor first, then the side it must
+    decouple from.
+    """
+
+    kept: str
+    partner: str
+    renames: Mapping[str, str]
+    shared: tuple[str, ...]
+
+
+# The encoder W is built from the hat reference, the decoder V from the check
+# reference; each half is the time reverse of the other.
+_ENCODER = _Half("C2", "A2", {"C": "Cpp", "A": "App"}, ("C2", "B", "R"))
+_DECODER = _Half("C1", "B1", {"C": "Cp", "B": "Bp"}, ("C1", "A", "R"))
+
+
+def _cut(p: CutPartition) -> dict[str, int]:
+    return {"C1": p.d1, "C2": p.d2, "C3": p.d3}
+
+
+def _split_c(layout: SystemLayout, p: CutPartition) -> SystemLayout:
+    return split_subsystem(layout, "C", tuple(_cut(p).items()))
+
+
+def _residual(half: _Half, ref: PureState, u: np.ndarray, p: CutPartition) -> float:
+    """|| Tr_{not shared}[U.ref] - pi_{kept} (x) ref_{side} ||_1 straight from the pure reference."""
+    layout = ref.layout
+    split = _split_c(layout, p)
+    rotated, _ = vector_apply(ref.amplitudes, layout.dims, [0], u, (layout.dims[0],))
+    reduced = vector_partial_trace(rotated, split.dims, split.axes(half.shared))
+    side = vector_partial_trace(ref.amplitudes, layout.dims, layout.axes(half.shared[1:]))
+    d_kept = _cut(p)[half.kept]
+    return hermitian_trace_distance(reduced, np.kron(np.eye(d_kept) / d_kept, side))
+
+
+def _bound(half: _Half, ref: PureState, p: CutPartition) -> float:
+    """Haar-average bound on the squared residual: d_C d_side Tr(ref_{C side}^2) / (d_C / d_kept)^2."""
+    layout = ref.layout
+    d_c = layout.dim_of("C")
+    side = half.shared[1:]
+    purity = marginal_purity(ref.amplitudes, layout.dims, layout.axes(("C",) + side))
+    return decoupling_bound(d_c, layout.dim_of_set(side), purity, d_c // _cut(p)[half.kept])
+
+
+def _eta(bound: float) -> float:
+    return 2.0 * (2.0 * bound) ** 0.25
+
+
+def _pair_state(half: _Half, ref: PureState, p: CutPartition) -> PureState:
+    """Phi_{kept partner} (x) ref, with ref's systems renamed by ``half.renames``."""
+    pair = maximally_entangled(_cut(p)[half.kept], (half.kept, half.partner))
+    layout = pair.layout.concat(ref.layout.renamed(half.renames))
+    return PureState(layout, np.kron(pair.amplitudes, ref.amplitudes))
+
+
+def _align(half: _Half, ref: PureState, u: LinearMap, p: CutPartition) -> UhlmannResult:
+    """The isometry taking U.ref (C split) to the half's pair state, with ``half.shared`` fixed."""
+    layout, vec = apply_unchecked(u, ref.layout, ref.amplitudes, ("C",))
+    mu = PureState(_split_c(layout, p), vec)
+    return uhlmann_isometry(mu, _pair_state(half, ref, p), half.shared)
+
+
 def eta_bounds(refs: ReferencePair, p: CutPartition) -> tuple[float, float]:
     """Fourth-root decoupling bounds for the encoder (eta1) and decoder (eta2).
 
     eta1 = 2 * (2 d_C d_BR Tr(hat_CBR^2) / d_{C1 C3}^2)^(1/4)   (decouple C2 from B R)
     eta2 = 2 * (2 d_C d_AR Tr(check_CAR^2) / d_{C2 C3}^2)^(1/4) (decouple C1 from A R)
     """
-    hat, check = refs.hat, refs.check
-    dims = hat.layout.dims
-    d_c, d_a, d_b, d_r = dims
-    p.check_total(d_c)
-    pur_hat = marginal_purity(hat.amplitudes, dims, [_AX["C"], _AX["B"], _AX["R"]])
-    pur_check = marginal_purity(check.amplitudes, dims, [_AX["C"], _AX["A"], _AX["R"]])
-    eta1 = 2.0 * (2.0 * decoupling_bound(d_c, d_b * d_r, pur_hat, p.d13)) ** 0.25
-    eta2 = 2.0 * (2.0 * decoupling_bound(d_c, d_a * d_r, pur_check, p.d23)) ** 0.25
-    return eta1, eta2
+    p.check_total(refs.hat.layout.dim_of("C"))
+    return _eta(_bound(_ENCODER, refs.hat, p)), _eta(_bound(_DECODER, refs.check, p))
 
 
 @dataclass(frozen=True)
@@ -182,45 +234,10 @@ class ProtocolReport:
 
     def __post_init__(self) -> None:
         for bound in (self.measured_bound, self.analytic_bound):
-            if self.distance_to_target > min(2.0, bound) + 1e-8:
+            if not self.distance_to_target <= min(2.0, bound) + 1e-8:
                 raise InvariantViolation(
                     f"distance {self.distance_to_target} exceeds min(2, {bound}) + 1e-8"
                 )
-
-
-def _split_c(state: PureState, p: CutPartition) -> PureState:
-    layout = split_subsystem(
-        state.layout, "C", (("C1", p.d1), ("C2", p.d2), ("C3", p.d3))
-    )
-    return reinterpret(state, layout)
-
-
-def _decoupling_residuals(
-    ref: PureState, u: np.ndarray, p: CutPartition, keep_role: str
-) -> float:
-    """Residual of one condition straight from the pure reference state.
-
-    keep_role "C2": || Tr_{C1 C3 A}[U.ref] - pi_{C2} (x) ref_BR ||_1
-    keep_role "C1": || Tr_{C2 C3 B}[U.ref] - pi_{C1} (x) ref_AR ||_1
-    """
-    dims = ref.layout.dims
-    d_c = dims[0]
-    rotated, _ = vector_apply(ref.amplitudes, dims, [0], u, (dims[0],))
-    split_dims = (p.d1, p.d2, p.d3) + dims[1:]
-    if keep_role == "C2":
-        keep_axes = [_SPLIT_AX["C2"], _SPLIT_AX["B"], _SPLIT_AX["R"]]
-        side_axes = [_AX["B"], _AX["R"]]
-        d_kept = p.d2
-    elif keep_role == "C1":
-        keep_axes = [_SPLIT_AX["C1"], _SPLIT_AX["A"], _SPLIT_AX["R"]]
-        side_axes = [_AX["A"], _AX["R"]]
-        d_kept = p.d1
-    else:
-        raise ValueError(f"keep_role must be 'C1' or 'C2', got {keep_role!r}")
-    reduced = vector_partial_trace(rotated, split_dims, keep_axes)
-    side = vector_partial_trace(ref.amplitudes, dims, side_axes)
-    target = np.kron(np.eye(d_kept) / d_kept, side)
-    return hermitian_trace_distance(reduced, target)
 
 
 def build_plan(
@@ -242,55 +259,28 @@ def build_plan(
     if refs is None:
         hat = check = canon
     else:
-        hat = canonicalize(refs[0], roles)
-        check = canonicalize(refs[1], roles)
+        hat, check = (canonicalize(ref, roles) for ref in refs)
     pair = ReferencePair.for_state(canon, hat, check)
-
-    dims = canon.layout.dims
-    d_c, d_a, d_b, d_r = dims
+    d_c = canon.layout.dim_of("C")
     p.check_total(d_c)
     if stream is None:
         stream = SeededStream(0)
     rng = as_generator(stream)
 
-    # Bounds: alpha governs keeping C1 of the check reference, beta keeping C2
-    # of the hat reference (matching the two residuals below).
-    pur_check = marginal_purity(check.amplitudes, dims, [_AX["C"], _AX["A"], _AX["R"]])
-    pur_hat = marginal_purity(hat.amplitudes, dims, [_AX["C"], _AX["B"], _AX["R"]])
-    alpha_check = decoupling_bound(d_c, d_a * d_r, pur_check, p.d23)
-    beta_hat = decoupling_bound(d_c, d_b * d_r, pur_hat, p.d13)
+    # alpha bounds the decoder's condition on check, beta the encoder's on hat.
+    alpha, beta = _bound(_DECODER, check, p), _bound(_ENCODER, hat, p)
 
     def residuals_of(u: np.ndarray) -> tuple[float, float]:
-        return (
-            _decoupling_residuals(check, u, p, keep_role="C1"),
-            _decoupling_residuals(hat, u, p, keep_role="C2"),
-        )
+        return _residual(_DECODER, check, u, p), _residual(_ENCODER, hat, u, p)
 
-    u_mat, res, iters = search_unitary(
-        d_c, residuals_of, alpha_check, beta_hat, search_budget, rng
-    )
+    u_mat, res, iters = search_unitary(d_c, residuals_of, alpha, beta, search_budget, rng)
     c_layout = SystemLayout.of(("C", d_c))
     u_map = LinearMap(c_layout, c_layout, u_mat, kind="unitary")
-
-    # Encoder W aligns U.hat with Phi_{C2 A2} (x) hat_{C'' A'' B R}.
-    mu_w = _split_c(apply(u_map, hat, ("C",)), p)
-    nu_w = tensor(
-        maximally_entangled(p.d2, ("C2", "A2")),
-        relabel(hat, {"C": "Cpp", "A": "App"}),
-    )
-    w_res = uhlmann_isometry(mu_w, nu_w, shared=("C2", "B", "R"))
-
-    # Decoder V aligns U.check with Phi_{C1 B1} (x) check_{C' A B' R}.
-    mu_v = _split_c(apply(u_map, check, ("C",)), p)
-    nu_v = tensor(
-        maximally_entangled(p.d1, ("C1", "B1")),
-        relabel(check, {"C": "Cp", "B": "Bp"}),
-    )
-    v_res = uhlmann_isometry(mu_v, nu_v, shared=("C1", "A", "R"))
-
-    eta1, eta2 = eta_bounds(pair, p)
-    # res.eps2 is the keep-C2 (hat/encoder) residual, res.eps1 the keep-C1
-    # (check/decoder) residual; eta1 bounds the former, eta2 the latter.
+    w_res = _align(_ENCODER, hat, u_map, p)
+    v_res = _align(_DECODER, check, u_map, p)
+    eta1, eta2 = _eta(beta), _eta(alpha)
+    # res.eps2 is the encoder's (keep C2) residual, res.eps1 the decoder's
+    # (keep C1); eta1 bounds the former, eta2 the latter.
     return ProtocolPlan(
         partition=p,
         unitary=u_map,
@@ -316,41 +306,39 @@ def build_plan(
 
 def initial_state(plan: ProtocolPlan) -> PureState:
     """Phi_{C2 A2} (x) phi with Alice holding A2 C'' A'' and Bob C2 B."""
-    return tensor(
-        maximally_entangled(plan.partition.d2, ("C2", "A2")),
-        relabel(plan.phi, {"C": "Cpp", "A": "App"}),
-    )
+    return _pair_state(_ENCODER, plan.phi, plan.partition)
 
 
 def final_state_target(plan: ProtocolPlan) -> PureState:
     """Phi_{C1 B1} (x) phi with Alice holding C1 A and Bob B1 C' B'."""
-    return tensor(
-        maximally_entangled(plan.partition.d1, ("C1", "B1")),
-        relabel(plan.phi, {"C": "Cp", "B": "Bp"}),
-    )
+    return _pair_state(_DECODER, plan.phi, plan.partition)
 
 
-def _finish_run(
-    layout: SystemLayout,
-    vec: np.ndarray,
-    target: PureState,
-    plan: ProtocolPlan,
-    ledger: tuple[float, float, float],
+def _run(
+    start: PureState, first: LinearMap, second: LinearMap, target: PureState, plan: ProtocolPlan
 ) -> ProtocolReport:
-    new_layout, aligned = permute_unchecked(layout, vec, target.layout.labels)
+    """Apply ``first`` on one side, hand C3 over, apply ``second``; compare with ``target``.
+
+    Each map acts on its input labels.  The ledger is log2 d3 qubits sent, the
+    start's ebit pair consumed and the target's distilled; both pair states
+    list their pair first.
+    """
+    layout, vec = apply_unchecked(first, start.layout, start.amplitudes, first.input_layout.labels)
+    # C3 changes hands here; pure bookkeeping, no matrix action.
+    layout, vec = apply_unchecked(second, layout, vec, second.input_layout.labels)
+    layout, aligned = permute_unchecked(layout, vec, target.layout.labels)
     distance = pure_trace_distance(aligned, target.amplitudes)
     norm = float(np.linalg.norm(aligned))
-    if norm < 1e-12:
+    if not norm >= 1e-12:
         raise InvariantViolation("final state has vanished; cannot report a normalized state")
-    qubits, consumed, distilled = ledger
     return ProtocolReport(
-        final_state=PureState(new_layout, aligned / norm),
+        final_state=PureState(layout, aligned / norm),
         distance_to_target=distance,
         analytic_bound=plan.analytic_bound,
         measured_bound=plan.measured_bound,
-        qubits_sent=qubits,
-        ebits_consumed=consumed,
-        ebits_distilled=distilled,
+        qubits_sent=np.log2(plan.partition.d3),
+        ebits_consumed=np.log2(start.layout.dims[0]),
+        ebits_distilled=np.log2(target.layout.dims[0]),
         final_norm=norm,
     )
 
@@ -364,20 +352,8 @@ def run_forward(phi: PureState, plan: ProtocolPlan) -> ProtocolReport:
     canon = phi if phi.layout == plan.phi.layout else canonicalize(phi, plan.roles)
     if canon.layout != plan.phi.layout:
         raise LayoutError(f"state layout {canon.layout} does not match the plan's {plan.phi.layout}")
-    ups = tensor(
-        maximally_entangled(plan.partition.d2, ("C2", "A2")),
-        relabel(canon, {"C": "Cpp", "A": "App"}),
-    )
-    layout, vec = apply_unchecked(
-        plan.encoder.adjoint(), ups.layout, ups.amplitudes, ("A2", "Cpp", "App")
-    )
-    # C3 moves from Alice to Bob here; pure bookkeeping, no matrix action.
-    layout, vec = apply_unchecked(plan.decoder, layout, vec, ("C2", "C3", "B"))
-    target = final_state_target(plan)
-    p = plan.partition
-    return _finish_run(
-        layout, vec, target, plan, (np.log2(p.d3), np.log2(p.d2), np.log2(p.d1))
-    )
+    start = _pair_state(_ENCODER, canon, plan.partition)
+    return _run(start, plan.encoder.adjoint(), plan.decoder, final_state_target(plan), plan)
 
 
 def run_reverse(plan: ProtocolPlan, upsilon_final: "PureState | None" = None) -> ProtocolReport:
@@ -387,18 +363,8 @@ def run_reverse(plan: ProtocolPlan, upsilon_final: "PureState | None" = None) ->
     Alice.  ``upsilon_final`` defaults to the ideal final state; a forward
     run's final_state can be passed directly.
     """
-    if upsilon_final is None:
-        upsilon_final = final_state_target(plan)
-    expected = final_state_target(plan).layout
-    state = permute(upsilon_final, expected.labels)
-    if state.layout != expected:
-        raise LayoutError(f"reverse input layout {state.layout} != expected {expected}")
-    layout, vec = apply_unchecked(
-        plan.decoder.adjoint(), state.layout, state.amplitudes, ("B1", "Cp", "Bp")
-    )
-    layout, vec = apply_unchecked(plan.encoder, layout, vec, ("C1", "C3", "A"))
-    target = initial_state(plan)
-    p = plan.partition
-    return _finish_run(
-        layout, vec, target, plan, (np.log2(p.d3), np.log2(p.d1), np.log2(p.d2))
-    )
+    ideal = final_state_target(plan)
+    start = ideal if upsilon_final is None else permute(upsilon_final, ideal.layout.labels)
+    if start.layout != ideal.layout:
+        raise LayoutError(f"reverse input layout {start.layout} != expected {ideal.layout}")
+    return _run(start, plan.decoder.adjoint(), plan.encoder, initial_state(plan), plan)

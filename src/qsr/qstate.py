@@ -18,8 +18,9 @@ Public surface:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -105,6 +106,10 @@ class SystemLayout:
             raise LayoutError(f"unknown labels {sorted(missing)}")
         return SystemLayout(tuple(s for s in self.subsystems if s[0] in want))
 
+    def renamed(self, mapping: Mapping[str, str]) -> "SystemLayout":
+        """The same subsystems with labels renamed by ``mapping`` (others unchanged)."""
+        return SystemLayout(tuple((mapping.get(lab, lab), d) for lab, d in self.subsystems))
+
     def concat(self, other: "SystemLayout") -> "SystemLayout":
         overlap = set(self.labels) & set(other.labels)
         if overlap:
@@ -139,7 +144,7 @@ class PureState:
                 f"amplitude length {amps.shape[0]} != layout dimension {self.layout.total_dim}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > tols.invariant:
+        if not abs(norm - 1.0) <= tols.invariant:
             raise InvariantViolation(f"pure state norm {norm} deviates from 1 beyond {tols.invariant}")
 
     @property
@@ -165,13 +170,13 @@ class DensityOperator:
         d = self.layout.total_dim
         if mat.shape != (d, d):
             raise LayoutError(f"matrix shape {mat.shape} != layout dimension ({d}, {d})")
-        if np.max(np.abs(mat - mat.conj().T)) > tols.invariant:
+        if not np.max(np.abs(mat - mat.conj().T)) <= tols.invariant:
             raise InvariantViolation("density operator is not Hermitian within tolerance")
         tr = float(mat.trace().real)
-        if abs(tr - 1.0) > tols.invariant:
+        if not abs(tr - 1.0) <= tols.invariant:
             raise InvariantViolation(f"density operator trace {tr} deviates from 1")
         evals = np.linalg.eigvalsh(mat)
-        if float(evals.min()) < -tols.invariant * max(1.0, float(evals.max())):
+        if not float(evals.min()) >= -tols.invariant * max(1.0, float(evals.max())):
             raise InvariantViolation(f"density operator has negative eigenvalue {evals.min()}")
 
     @property
@@ -208,7 +213,7 @@ class LinearMap:
             if d_out < d_in:
                 raise InvariantViolation("isometry needs output dimension >= input dimension")
             defect = np.max(np.abs(mat.conj().T @ mat - np.eye(d_in)))
-            if defect > tols.invariant:
+            if not defect <= tols.invariant:
                 raise InvariantViolation(f"isometry defect {defect} exceeds {tols.invariant}")
 
     def adjoint(self) -> "LinearMap":
@@ -219,6 +224,18 @@ class LinearMap:
 # ---------------------------------------------------------------------------
 # Raw-array helpers (shared with protocol internals and tests)
 # ---------------------------------------------------------------------------
+
+
+def _matricize(vec: np.ndarray, dims: Sequence[int], axes: Sequence[int]) -> np.ndarray:
+    """``vec`` as a matrix: rows run over ``axes`` (in the given order), columns over the rest."""
+    arr = np.moveaxis(np.asarray(vec).reshape(dims), axes, range(len(axes)))
+    return arr.reshape(math.prod(dims[a] for a in axes), -1)
+
+
+def _smaller_gram(vec: np.ndarray, dims: Sequence[int], keep_axes: Sequence[int]) -> np.ndarray:
+    """The smaller of M M^H and M^H M (same nonzero spectrum), M = vec matricized on ``keep_axes``."""
+    m = _matricize(vec, tuple(int(d) for d in dims), sorted(keep_axes))
+    return m @ m.conj().T if m.shape[0] <= m.shape[1] else m.conj().T @ m
 
 
 def vector_apply(
@@ -237,14 +254,8 @@ def vector_apply(
     """
     dims = tuple(int(d) for d in dims)
     targets = list(target_axes)
-    arr = np.asarray(vec).reshape(dims)
-    arr = np.moveaxis(arr, targets, range(len(targets)))
     rest_dims = tuple(d for i, d in enumerate(dims) if i not in set(targets))
-    d_in = 1
-    for t in targets:
-        d_in *= dims[t]
-    work = arr.reshape(d_in, -1)
-    out = np.asarray(matrix) @ work
+    out = np.asarray(matrix) @ _matricize(vec, dims, targets)
     out_dims = tuple(int(d) for d in out_dims)
     out = out.reshape(out_dims + rest_dims)
 
@@ -267,14 +278,7 @@ def vector_partial_trace(
     vec: np.ndarray, dims: Sequence[int], keep_axes: Sequence[int]
 ) -> np.ndarray:
     """Reduced density matrix of a pure vector on ``keep_axes`` (original order)."""
-    dims = tuple(int(d) for d in dims)
-    keep = sorted(keep_axes)
-    arr = np.asarray(vec).reshape(dims)
-    arr = np.moveaxis(arr, keep, range(len(keep)))
-    d_keep = 1
-    for k in keep:
-        d_keep *= dims[k]
-    m = arr.reshape(d_keep, -1)
+    m = _matricize(vec, tuple(int(d) for d in dims), sorted(keep_axes))
     return m @ m.conj().T
 
 
@@ -298,33 +302,12 @@ def matrix_partial_trace(
 
 def gram_spectrum(vec: np.ndarray, dims: Sequence[int], keep_axes: Sequence[int]) -> np.ndarray:
     """Eigenvalues of the reduced state on ``keep_axes``, via the smaller Gram factor."""
-    dims = tuple(int(d) for d in dims)
-    keep = sorted(keep_axes)
-    arr = np.asarray(vec).reshape(dims)
-    arr = np.moveaxis(arr, keep, range(len(keep)))
-    d_keep = 1
-    for k in keep:
-        d_keep *= dims[k]
-    m = arr.reshape(d_keep, -1)
-    if m.shape[0] <= m.shape[1]:
-        g = m @ m.conj().T
-    else:
-        g = m.conj().T @ m
-    return np.linalg.eigvalsh(g)
+    return np.linalg.eigvalsh(_smaller_gram(vec, dims, keep_axes))
 
 
 def marginal_purity(vec: np.ndarray, dims: Sequence[int], keep_axes: Sequence[int]) -> float:
     """Tr(rho^2) of the reduced state on ``keep_axes`` without materializing it."""
-    dims = tuple(int(d) for d in dims)
-    keep = sorted(keep_axes)
-    arr = np.asarray(vec).reshape(dims)
-    arr = np.moveaxis(arr, keep, range(len(keep)))
-    d_keep = 1
-    for k in keep:
-        d_keep *= dims[k]
-    m = arr.reshape(d_keep, -1)
-    g = m @ m.conj().T if m.shape[0] <= m.shape[1] else m.conj().T @ m
-    return float(np.sum(np.abs(g) ** 2).real)
+    return float(np.sum(np.abs(_smaller_gram(vec, dims, keep_axes)) ** 2).real)
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +372,11 @@ def apply_layout(layout: SystemLayout, m: LinearMap, targets: Sequence[str]) -> 
 def apply_unchecked(
     m: LinearMap, layout: SystemLayout, vec: np.ndarray, targets: Sequence[str]
 ) -> tuple[SystemLayout, np.ndarray]:
-    """Raw vector apply without the PureState norm invariant.
+    """Raw vector apply without the PureState norm invariant (the kernel of :func:`apply`).
 
-    Used where a map is intentionally norm-decreasing (an isometry's adjoint
-    acting on a state with mass outside its range).
+    Used for intermediate data movement and where a map is intentionally
+    norm-decreasing (an isometry's adjoint acting on a state with mass outside
+    its range).
     """
     new_layout = apply_layout(layout, m, targets)
     out, _ = vector_apply(vec, layout.dims, layout.axes(targets), m.matrix, m.output_layout.dims)
@@ -418,15 +402,12 @@ def apply(m: LinearMap, state, targets: Sequence[str]):
     replaced (at the position of the earliest target) by ``m.output_layout``'s
     subsystems.  Remaining subsystems are untouched.
     """
-    layout = state.layout
-    targets = list(targets)
-    new_layout = apply_layout(layout, m, targets)
-    axes = layout.axes(targets)
-
     if isinstance(state, PureState):
-        vec, _ = vector_apply(state.amplitudes, layout.dims, axes, m.matrix, m.output_layout.dims)
-        return PureState(new_layout, vec)
+        return PureState(*apply_unchecked(m, state.layout, state.amplitudes, targets))
     if isinstance(state, DensityOperator):
+        layout = state.layout
+        new_layout = apply_layout(layout, m, targets)
+        axes = layout.axes(targets)
         k = len(layout.dims)
         flat = state.matrix.reshape(-1)
         dims2 = layout.dims + layout.dims
@@ -441,36 +422,14 @@ def apply(m: LinearMap, state, targets: Sequence[str]):
     raise TypeError("apply requires a PureState or DensityOperator")
 
 
-def permute(state, new_order: Sequence[str]):
+def permute(state: PureState, new_order: Sequence[str]) -> PureState:
     """Reorder subsystems to ``new_order`` (a permutation of the labels)."""
-    layout = state.layout
-    if sorted(new_order) != sorted(layout.labels):
-        raise LayoutError(f"{list(new_order)} is not a permutation of {layout.labels}")
-    axes = layout.axes(new_order)
-    new_layout = SystemLayout(tuple(layout.subsystems[a] for a in axes))
-    if isinstance(state, PureState):
-        arr = state.amplitudes.reshape(layout.dims)
-        return PureState(new_layout, np.transpose(arr, axes).reshape(-1))
-    if isinstance(state, DensityOperator):
-        k = len(layout.dims)
-        arr = state.matrix.reshape(layout.dims + layout.dims)
-        arr = np.transpose(arr, list(axes) + [k + a for a in axes])
-        d = layout.total_dim
-        return DensityOperator(new_layout, arr.reshape(d, d))
-    raise TypeError("permute requires a PureState or DensityOperator")
+    return PureState(*permute_unchecked(state.layout, state.amplitudes, new_order))
 
 
-def relabel(state, mapping: dict[str, str]):
+def relabel(state: PureState, mapping: dict[str, str]) -> PureState:
     """Rename subsystems without touching data."""
-    new_subsystems = tuple(
-        (mapping.get(lab, lab), d) for lab, d in state.layout.subsystems
-    )
-    new_layout = SystemLayout(new_subsystems)
-    if isinstance(state, PureState):
-        return PureState(new_layout, state.amplitudes)
-    if isinstance(state, DensityOperator):
-        return DensityOperator(new_layout, state.matrix)
-    raise TypeError("relabel requires a PureState or DensityOperator")
+    return reinterpret(state, state.layout.renamed(mapping))
 
 
 def split_subsystem(layout: SystemLayout, label: str, parts: Sequence[tuple[str, int]]) -> SystemLayout:
@@ -509,15 +468,11 @@ def merge_subsystems(layout: SystemLayout, labels: Sequence[str], new_label: str
     return SystemLayout(new_subsystems)
 
 
-def reinterpret(state, new_layout: SystemLayout):
+def reinterpret(state: PureState, new_layout: SystemLayout) -> PureState:
     """Attach a different layout of equal total dimension to the same data."""
     if new_layout.total_dim != state.layout.total_dim:
         raise LayoutError("reinterpretation must preserve total dimension")
-    if isinstance(state, PureState):
-        return PureState(new_layout, state.amplitudes)
-    if isinstance(state, DensityOperator):
-        return DensityOperator(new_layout, state.matrix)
-    raise TypeError("reinterpret requires a PureState or DensityOperator")
+    return PureState(new_layout, state.amplitudes)
 
 
 def purify(rho: DensityOperator, purifier_label: str) -> PureState:

@@ -139,7 +139,7 @@ class UhlmannResult:
         if not -1e-12 <= self.achieved_overlap <= 1.0 + 1e-9:
             raise InvariantViolation(f"overlap {self.achieved_overlap} outside [0, 1]")
         slack = 2.0 * np.sqrt(max(self.epsilon_in, 0.0)) + 1e-8
-        if self.distance_out > slack:
+        if not self.distance_out <= slack:
             raise InvariantViolation(
                 f"distance_out {self.distance_out} violates the 2*sqrt(eps) guarantee {slack}"
             )

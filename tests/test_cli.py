@@ -182,3 +182,80 @@ class TestExitCodes:
 
     def test_missing_subcommand_is_usage(self, capsys):
         assert run_cli(capsys, )[0] == 1
+
+    def test_nan_state_file_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "rates", "--state", _nan_state_file(tmp_path))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "norm nan" in err
+
+    def test_state_directory_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "rates", "--state", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "directory" in err
+
+    def test_out_in_missing_directory_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "sample-state", "--dims", "C=2", "--out",
+                                 str(tmp_path / "missing" / "x.json"))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "--out" in err
+
+
+def _nan_state_file(directory) -> str:
+    path = directory / "nan.json"
+    amps = [[float("nan"), 0.0], [0.0, 0.0], [0.0, 0.0], [0.5**0.5, 0.0]]
+    path.write_text(json.dumps({"format": "qsr-state/1", "amplitudes": amps,
+                                "subsystems": [{"label": "C", "dim": 2}, {"label": "R", "dim": 2}]}))
+    return str(path)
+
+
+# Every subcommand from a small valid command line, with each flag's value
+# replaced by each malformed value in turn.  "{dir}", "{missing}" and "{nan}"
+# stand for a directory, a path that does not exist and a state file with a
+# NaN amplitude.
+_VALID = {
+    "rates": ("rates", "--state", "bell-CR"),
+    "decouple": ("decouple", "--partition", "1,1,2", "--dim-c", "2", "--samples", "100",
+                 "--search-budget", "4"),
+    "protocol": ("protocol", "--state", "bell-CR", "--partition", "1,1,2"),
+    "iid": ("iid", "--state", "bell-CR", "--n", "2", "--delta", "0.05"),
+    "sample-state": ("sample-state", "--dims", "C=2,A=2"),
+}
+_FLAGS = {
+    "rates": ("--state", "--roles", "--seed"),
+    "decouple": ("--partition", "--samples", "--seed", "--dim-c", "--dim-f", "--dim-e",
+                 "--omega", "--psi", "--rank", "--search-budget"),
+    "protocol": ("--state", "--roles", "--partition", "--seed", "--search-budget"),
+    "iid": ("--state", "--roles", "--n", "--sweep", "--delta", "--t", "--seed", "--guard"),
+    "sample-state": ("--dims", "--seed", "--out"),
+}
+_MALFORMED = ("x", "0", "-1", "nan", "")
+_FLAG_MALFORMED = {
+    "--partition": ("2,2", "1,1,1,2", "0,1,2"),
+    "--roles": ("Q=C", "C=C", "C=Q,A=A,B=B,R=R"),
+    "--state": ("{dir}", "{missing}", "{nan}"),
+    "--dims": ("C=0", "C", "C=2,C=2"),
+    "--sweep": ("5..2", "1..x", "0..1"),
+    "--out": ("{dir}", "{missing}/x.json"),
+}
+
+
+class TestNoTraceback:
+    @pytest.mark.parametrize("command", sorted(_VALID))
+    def test_malformed_flag_values_map_to_exit_codes(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)  # --out values land here
+        files = {"{dir}": str(tmp_path), "{missing}": str(tmp_path / "missing"),
+                 "{nan}": _nan_state_file(tmp_path)}
+        bad = []
+        for flag in _FLAGS[command]:
+            for value in _MALFORMED + _FLAG_MALFORMED.get(flag, ()):
+                for token, path in files.items():
+                    value = value.replace(token, path)
+                argv = list(_VALID[command])
+                if flag in argv:
+                    argv[argv.index(flag) + 1] = value
+                else:
+                    argv += [flag, value]
+                code, _, err = run_cli(capsys, *argv)
+                if code not in (0, 1, 2, 3) or (code and err.count("\n") != 1):
+                    bad.append((argv, code, err))
+        assert bad == []

@@ -1,7 +1,7 @@
 """Plan assembly, forward/reverse runs, bounds, and the resource ledger."""
 
 import numpy as np
-from qsr.decoupling import CutPartition
+from qsr.decoupling import CutPartition, decoupling_bound
 from qsr.metrics import pure_trace_distance
 from qsr.presets import PRESET_ROLES, preset_state
 from qsr.protocol import (
@@ -22,6 +22,8 @@ from qsr.qstate import (
     tensor,
 )
 from qsr.sampling import SeededStream, random_pure_state
+
+from oracles import loop_partial_trace
 
 RANDOM_LAYOUT = SystemLayout.of(("C", 4), ("A", 2), ("B", 2), ("R", 2))
 ALL_PARTITIONS_OF_4 = [(1, 1, 4), (1, 2, 2), (1, 4, 1), (2, 1, 2), (2, 2, 1), (4, 1, 1)]
@@ -278,3 +280,44 @@ class TestReferenceStates:
                 if plan.accepted:
                     assert 2.0 * np.sqrt(plan.measured_eps1) <= plan.eta1 + 1e-9
                     assert 2.0 * np.sqrt(plan.measured_eps2) <= plan.eta2 + 1e-9
+
+
+class TestHalvesAgainstOracles:
+    """Residuals and bounds of both halves on references that differ from phi."""
+
+    @staticmethod
+    def _trace_norm(m):
+        return float(np.abs(np.linalg.eigvalsh(m)).sum())
+
+    def _residual(self, ref, u, p, keep, side):
+        # || Tr_rest[U.ref] - pi_kept (x) ref_side ||_1 from explicit density matrices.
+        rotated = np.kron(u, np.eye(8)) @ ref.amplitudes
+        split_dims = (p.d1, p.d2, p.d3, 2, 2, 2)
+        reduced = loop_partial_trace(np.outer(rotated, rotated.conj()), split_dims, keep)
+        side_rho = loop_partial_trace(np.outer(ref.amplitudes, ref.amplitudes.conj()), (4, 2, 2, 2), side)
+        d_kept = split_dims[keep[0]]
+        return self._trace_norm(reduced - np.kron(np.eye(d_kept) / d_kept, side_rho))
+
+    def _bound(self, ref, p, keep_c_side, d_kept):
+        rho = loop_partial_trace(np.outer(ref.amplitudes, ref.amplitudes.conj()), (4, 2, 2, 2), keep_c_side)
+        return decoupling_bound(4, 4, float(np.trace(rho @ rho).real), 4 // d_kept)
+
+    def test_eps_and_eta_match_oracles(self):
+        for tag in range(3):
+            phi, hat, check = (_random_phi(200 + 3 * tag + k) for k in range(3))
+            for cut in ALL_PARTITIONS_OF_4:
+                p = CutPartition(*cut)
+                plan = build_plan(phi, PRESET_ROLES, p, refs=(hat, check),
+                                  stream=SeededStream(201).derive(tag))
+                u = plan.unitary.matrix
+                eps_w = self._residual(hat, u, p, [1, 4, 5], [2, 3])  # keep C2, side B R
+                eps_v = self._residual(check, u, p, [0, 3, 5], [1, 3])  # keep C1, side A R
+                assert abs(plan.measured_eps1 - eps_w) <= 1e-12
+                assert abs(plan.measured_eps2 - eps_v) <= 1e-12
+                beta = self._bound(hat, p, [0, 2, 3], p.d2)
+                alpha = self._bound(check, p, [0, 1, 3], p.d1)
+                eta1, eta2 = 2.0 * (2.0 * beta) ** 0.25, 2.0 * (2.0 * alpha) ** 0.25
+                assert abs(plan.eta1 - eta1) <= 1e-14 and abs(plan.eta2 - eta2) <= 1e-14
+                assert np.allclose(eta_bounds(plan.refs, p), (eta1, eta2), rtol=0.0, atol=1e-14)
+                assert plan.delta1 == plan.gamma1 + plan.eta1 > plan.eta1
+                assert plan.delta2 == plan.gamma2 + plan.eta2 > plan.eta2

@@ -277,6 +277,28 @@ class TestValidation:
         with pytest.raises(InvariantViolation):
             LinearMap(qubits("X"), qubits("Y"), np.array([[1, 1], [0, 1]]), "unitary")
 
+    # A NaN compares false with every tolerance, so each check must fail on it.
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_nan_amplitude_rejected(self, index):
+        amps = np.array([1.0, 0.0], dtype=complex)
+        amps[index] = np.nan
+        with pytest.raises(InvariantViolation):
+            PureState(SystemLayout.of(("X", 2)), amps)
+
+    @pytest.mark.parametrize("index", [(0, 0), (0, 1), (1, 1)])
+    def test_nan_density_entry_rejected(self, index):
+        mat = np.eye(2, dtype=complex) / 2
+        mat[index] = np.nan
+        with pytest.raises(InvariantViolation):
+            DensityOperator(SystemLayout.of(("X", 2)), mat)
+
+    @pytest.mark.parametrize("kind", ["unitary", "isometry"])
+    def test_nan_map_entry_rejected(self, kind):
+        mat = np.eye(2, dtype=complex)
+        mat[1, 0] = np.nan
+        with pytest.raises(InvariantViolation):
+            LinearMap(qubits("X"), qubits("Y"), mat, kind)
+
 
 class TestStateFormat:
     def test_roundtrip_is_exact(self):
