@@ -32,6 +32,7 @@ from .iid import (
     InfeasibleAllocationError,
     TypicalSpec,
     DEFAULT_GUARD,
+    check_guard,
     iid_experiment,
 )
 from .metrics import marginal_entropy, resource_rates, role_groups
@@ -207,9 +208,10 @@ def cmd_decouple(args: argparse.Namespace) -> int:
     stream = SeededStream(args.seed)
     lay_f = SystemLayout.of(("C", args.dim_c), ("F", args.dim_f))
     lay_e = SystemLayout.of(("C", args.dim_c), ("E", args.dim_e))
+    p.check_total(args.dim_c)
+    check_guard("a decoupling operand", (args.dim_c * max(args.dim_f, args.dim_e)) ** 2)
     omega = _decouple_operand(args.omega, lay_f, args.rank, stream.derive(1))
     psi = _decouple_operand(args.psi, lay_e, args.rank, stream.derive(2))
-    p.check_total(args.dim_c)
 
     b = bounds(omega, psi, p)
     check1 = haar_average_check(omega, p, KEEP_C1, args.samples, stream.derive(3))
@@ -248,6 +250,13 @@ def cmd_protocol(args: argparse.Namespace) -> int:
     stream = SeededStream(args.seed)
     state, default_roles, digest = _load_state(args.state, stream.derive(0))
     roles = _resolve_roles(state, default_roles, args.roles)
+    d_c, d_a, d_b, d_r = (state.layout.dim_of_set(g) for g in role_groups(state.layout.labels, roles).values())
+    p.check_total(d_c)
+    # The largest arrays: the two pair states, the residuals' reduced states, the dense W and V.
+    check_guard("the largest protocol array", max(
+        max(p.d1, p.d2) ** 2 * state.layout.total_dim, (p.d2 * d_b * d_r) ** 2, (p.d1 * d_a * d_r) ** 2,
+        (d_c * d_a) ** 2, (d_c * d_b) ** 2,
+    ))
     t_plan = time.perf_counter()
     plan = build_plan(state, roles, p, search_budget=args.search_budget, stream=stream.derive(1))
     t_run = time.perf_counter()
@@ -320,7 +329,7 @@ def cmd_iid(args: argparse.Namespace) -> int:
     state, default_roles, digest = _load_state(args.state, stream.derive(0))
     roles = _resolve_roles(state, default_roles, args.roles)
 
-    if args.sweep:
+    if args.sweep is not None:
         try:
             lo, hi = (int(x) for x in args.sweep.split(".."))
         except ValueError as exc:
@@ -328,10 +337,8 @@ def cmd_iid(args: argparse.Namespace) -> int:
         if lo > hi:
             raise UsageError(f"--sweep {args.sweep!r} is empty: n1 must not exceed n2")
         ns = list(range(lo, hi + 1))
-    elif args.n is not None:
-        ns = [args.n]
     else:
-        raise UsageError("iid needs --n or --sweep")
+        ns = [args.n]
     try:
         specs = [TypicalSpec(n=n, delta=args.delta, t=args.t) for n in ns]
     except ValueError as exc:
@@ -343,7 +350,7 @@ def cmd_iid(args: argparse.Namespace) -> int:
         rep = iid_experiment(state, roles, spec, stream=stream.derive(spec.n), guard=args.guard)
         elapsed = time.perf_counter() - t0
         results = _iid_results(rep)
-        if args.sweep:
+        if args.sweep is not None:
             rows.append(results)
         else:
             _emit(_report(
@@ -354,16 +361,17 @@ def cmd_iid(args: argparse.Namespace) -> int:
                 results,
                 {"total_s": elapsed},
             ))
-    if args.sweep:
+    if args.sweep is not None:
         sys.stdout.write(",".join(_CSV_FIELDS) + "\n")
         for row in rows:
-            sys.stdout.write(",".join(repr(row[f]) if isinstance(row[f], float) else str(row[f])
+            sys.stdout.write(",".join(repr(float(row[f])) if isinstance(row[f], float) else str(row[f])
                                       for f in _CSV_FIELDS) + "\n")
     return 0
 
 
 def cmd_sample_state(args: argparse.Namespace) -> int:
     layout = _parse_dims(args.dims)
+    check_guard("the random state", layout.total_dim)
     state = random_pure_state(layout, SeededStream(args.seed))
     text = state_to_json(state)
     if args.out:
@@ -416,8 +424,9 @@ def _build_parser() -> _Parser:
     pi = sub.add_parser("iid", help="tensor-power experiment with typical projections")
     pi.add_argument("--state", required=True)
     pi.add_argument("--roles")
-    pi.add_argument("--n", type=int)
-    pi.add_argument("--sweep", help="n1..n2 (emits CSV rows)")
+    copies = pi.add_mutually_exclusive_group(required=True)
+    copies.add_argument("--n", type=int)
+    copies.add_argument("--sweep", help="n1..n2 (emits CSV rows)")
     pi.add_argument("--delta", type=float, default=0.1)
     pi.add_argument("--t", type=float, default=1.5)
     pi.add_argument("--seed", type=int, default=0)

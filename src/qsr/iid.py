@@ -3,15 +3,17 @@
 A string of eigenvalues of rho^(x)n is typical when its product lies in
 [2^{-n(S+delta)}, 2^{-n(S-delta)}] (S in bits).  Rank and weight of the
 typical projector are computed combinatorially over type classes, so no
-2^n-dimensional operator is ever materialized; projections onto typical
-subspaces of grouped subsystems act through per-copy eigenbasis rotations and
-an index mask.
+2^n-dimensional operator is ever materialized.  One raw kernel projects onto
+the typical subspace of a per-copy group: it brings the group's copies to the
+front, rotates each into the group's eigenbasis, applies the string mask, and
+undoes both.
 
-The experiment driver builds phi^(x)n, measures the typical projector on the
-C copies, constructs the two projected reference states, allocates the cut
-dimensions from the entropic targets (powers of two, remainder absorbed by
-the transmitted register), embeds the typical C subspace into the allocated
-product register, and runs the one-shot protocol on the result.
+The experiment driver builds phi^(x)n, projects the C copies once and
+continues that projection into the two reference states (then A and BR for
+hat, B and AR for check), allocates the cut dimensions from the entropic
+targets (powers of two, remainder absorbed by the transmitted register),
+embeds the typical C subspace into the allocated product register, and runs
+the one-shot protocol on the result.
 """
 
 from __future__ import annotations
@@ -35,11 +37,11 @@ from .protocol import (
 from .qstate import (
     DensityOperator,
     LayoutError,
-    LinearMap,
     PureState,
     SystemLayout,
-    apply_unchecked,
     permute_unchecked,
+    vector_apply,
+    vector_partial_trace,
 )
 from .sampling import SeededStream
 
@@ -56,7 +58,13 @@ class DegenerateProjectionError(RuntimeError):
     """A typical projection annihilated the state."""
 
 
-DEFAULT_GUARD = 2**20  # max vector entries the driver will materialize
+DEFAULT_GUARD = 2**20  # max array entries the driver and the CLI will materialize
+
+
+def check_guard(what: str, entries: int, guard: int = DEFAULT_GUARD) -> None:
+    """Refuse, before any allocation, an array of more than ``guard`` entries."""
+    if entries > guard:
+        raise GuardExceededError(f"{what} needs {entries} entries, above the guard of {guard}")
 
 
 @dataclass(frozen=True)
@@ -134,11 +142,7 @@ def typical_stats(rho: "DensityOperator | np.ndarray", spec: TypicalSpec) -> Typ
             if c:
                 lp += c * lg
         if lo <= lp <= hi:
-            mult = 1
-            rem = spec.n
-            for c in counts:
-                mult *= math.comb(rem, c)
-                rem -= c
+            mult = math.factorial(spec.n) // math.prod(math.factorial(c) for c in counts)
             types.append(counts)
             rank += mult
             weight += mult * 2.0**lp
@@ -153,15 +157,14 @@ def typical_stats(rho: "DensityOperator | np.ndarray", spec: TypicalSpec) -> Typ
     )
 
 
-def string_mask(eigenvalues: np.ndarray, spec: TypicalSpec) -> np.ndarray:
-    """Boolean mask over d^n eigenvalue strings (mixed-radix order).
+def _mask(stats: TypicalProjector) -> np.ndarray:
+    """Boolean mask over the d^n eigenvalue strings of ``stats`` (mixed-radix order).
 
-    A string is typical when its type class is one of ``typical_stats``'
-    typical types, so the mask count equals the combinatorial rank.  A type
-    is keyed by its sorted string read in base d.
+    A string is typical when its type class is one of the typical types, so
+    the mask count equals the combinatorial rank.  A type is keyed by its
+    sorted string read in base d.
     """
-    stats = typical_stats(eigenvalues, spec)
-    d, n = len(stats.base_eigenvalues), spec.n
+    d, n = len(stats.base_eigenvalues), stats.n
     powers = d ** np.arange(n, dtype=np.int64)
     symbols = np.indices((d,) * n, dtype=np.min_scalar_type(d - 1)).reshape(n, -1)
     strings = np.sort(symbols, axis=0)
@@ -172,6 +175,11 @@ def string_mask(eigenvalues: np.ndarray, spec: TypicalSpec) -> np.ndarray:
     return np.isin(keys, typical)
 
 
+def string_mask(eigenvalues: np.ndarray, spec: TypicalSpec) -> np.ndarray:
+    """Boolean mask over d^n eigenvalue strings, typical ones set (see ``_mask``)."""
+    return _mask(typical_stats(eigenvalues, spec))
+
+
 def tensor_power(phi: PureState, n: int) -> PureState:
     """phi^(x)n with per-copy labels ``<label><i>`` (copies are 1-based)."""
     subsystems = [(f"{lab}{i}", d) for i in range(1, n + 1) for lab, d in phi.layout.subsystems]
@@ -179,6 +187,40 @@ def tensor_power(phi: PureState, n: int) -> PureState:
     for _ in range(n - 1):
         vec = np.kron(vec, phi.amplitudes)
     return PureState(SystemLayout(tuple(subsystems)), vec)
+
+
+def _rotate_copies(vec: np.ndarray, n: int, u: np.ndarray) -> np.ndarray:
+    """Apply ``u`` to each of the n leading copy axes of ``vec``, copy 1 first."""
+    d = u.shape[0]
+    dims = (d,) * n + (vec.size // d**n,)
+    for i in range(n):
+        vec, _ = vector_apply(vec, dims, (i,), u, (d,))
+    return vec
+
+
+def _project(
+    layout: SystemLayout, vec: np.ndarray, group: Sequence[str], n: int, vecs: np.ndarray, mask: np.ndarray
+) -> np.ndarray:
+    """Unnormalized typical projection of one per-copy group; ``vec`` stays in ``layout`` order.
+
+    The group's copies go to the front (``g1_1 g2_1 g1_2 ...``), each copy is
+    rotated into the eigenbasis ``vecs``, non-typical strings are zeroed, and
+    the rotation and permutation are undone.
+    """
+    front = [f"{lab}{i}" for i in range(1, n + 1) for lab in group]
+    rest = [lab for lab in layout.labels if lab not in front]
+    front_layout, vec = permute_unchecked(layout, vec, front + rest)
+    vec = _rotate_copies(vec, n, vecs.conj().T)
+    vec = (vec.reshape(mask.size, -1) * mask[:, None]).reshape(-1)
+    vec = _rotate_copies(vec, n, vecs)
+    return permute_unchecked(front_layout, vec, layout.labels)[1]
+
+
+def _normalized(vec: np.ndarray) -> tuple[np.ndarray, float]:
+    kept = float(np.linalg.norm(vec) ** 2)
+    if kept < 1e-24:
+        raise DegenerateProjectionError("typical projection annihilated the state")
+    return vec / np.sqrt(kept), kept
 
 
 def project_typical(
@@ -194,53 +236,15 @@ def project_typical(
     need not commute; the given order is applied left to right.  Returns the
     renormalized state and the cumulative squared norm kept.
     """
-    canonical_order = psi.layout.labels
-    layout = psi.layout
     vec = psi.amplitudes
     for group, rho in steps:
+        copies = tuple(psi.layout.dim_of(f"{lab}{i}") for i in range(1, spec.n + 1) for lab in group)
+        if rho.layout.labels != tuple(group) or copies != rho.dims * spec.n:
+            raise LayoutError(f"marginal layout {rho.layout.subsystems} does not match group {group}")
         eigs, vecs = np.linalg.eigh(rho.matrix)
-        d_g = rho.layout.total_dim
-        group_dims = rho.layout.dims
-        if tuple(lab for lab, _ in rho.layout.subsystems) != tuple(group):
-            raise LayoutError(f"marginal layout {rho.layout.labels} does not match group {group}")
-        temp_labels = [f"typ:{'.'.join(group)}:{i}" for i in range(1, spec.n + 1)]
-        # Rotate every copy into the group eigenbasis.
-        for i in range(1, spec.n + 1):
-            targets = tuple(f"{lab}{i}" for lab in group)
-            step_in = LinearMap(
-                SystemLayout(tuple((t, d) for t, d in zip(targets, group_dims))),
-                SystemLayout.of((temp_labels[i - 1], d_g)),
-                vecs.conj().T,
-                kind="unitary",
-            )
-            layout, vec = apply_unchecked(step_in, layout, vec, targets)
-        # Zero out non-typical eigenvalue strings.
-        mask = string_mask(eigs, spec)
-        axes = layout.axes(temp_labels)
-        arr = vec.reshape(layout.dims)
-        arr = np.moveaxis(arr, axes, range(spec.n))
-        flat = arr.reshape(d_g**spec.n, -1)
-        flat = flat * mask[:, None]
-        arr = flat.reshape((d_g,) * spec.n + tuple(
-            d for j, d in enumerate(layout.dims) if j not in set(axes)
-        ))
-        arr = np.moveaxis(arr, range(spec.n), axes)
-        vec = arr.reshape(-1)
-        # Rotate back to the computational basis.
-        for i in range(1, spec.n + 1):
-            targets = tuple(f"{lab}{i}" for lab in group)
-            step_out = LinearMap(
-                SystemLayout.of((temp_labels[i - 1], d_g)),
-                SystemLayout(tuple((t, d) for t, d in zip(targets, group_dims))),
-                vecs,
-                kind="unitary",
-            )
-            layout, vec = apply_unchecked(step_out, layout, vec, (temp_labels[i - 1],))
-    layout, vec = permute_unchecked(layout, vec, canonical_order)
-    kept = float(np.linalg.norm(vec) ** 2)
-    if kept < 1e-24:
-        raise DegenerateProjectionError("typical projection annihilated the state")
-    return PureState(layout, vec / np.sqrt(kept)), kept
+        vec = _project(psi.layout, vec, group, spec.n, vecs, string_mask(eigs, spec))
+    vec, kept = _normalized(vec)
+    return PureState(psi.layout, vec), kept
 
 
 @dataclass(frozen=True)
@@ -304,40 +308,26 @@ def allocate_partition(rank: int, rates: ResourceRates, spec: TypicalSpec) -> Ii
 
 
 def _embed_typical_c(
-    psi: PureState, n: int, c_eigvecs: np.ndarray, typical_indices: np.ndarray, total_dim: int
+    layout: SystemLayout, vec: np.ndarray, n: int, c_eigvecs: np.ndarray, mask: np.ndarray, total_dim: int
 ) -> PureState:
     """Isometric embedding of the typical C^n subspace into the allocated register.
 
-    Rotates every C copy into the eigenbasis, gathers the typical strings into
-    consecutive indices, zero-pads to ``total_dim``, and merges the A/B/R
-    copies into single subsystems.  Part of Alice's encoder; costs nothing.
+    Puts the C copies first, rotates each into the eigenbasis, gathers the
+    typical strings into consecutive indices, zero-pads to ``total_dim``, and
+    merges the A/B/R copies into single subsystems.  Part of Alice's encoder;
+    costs nothing.
     """
-    d_c = c_eigvecs.shape[0]
-    layout, vec = psi.layout, psi.amplitudes
-    for i in range(1, n + 1):
-        rot = LinearMap(
-            SystemLayout.of((f"C{i}", d_c)),
-            SystemLayout.of((f"C{i}", d_c)),
-            c_eigvecs.conj().T,
-            kind="unitary",
-        )
-        layout, vec = apply_unchecked(rot, layout, vec, (f"C{i}",))
     order = [f"{lab}{i}" for lab in ("C", "A", "B", "R") for i in range(1, n + 1)]
     layout, vec = permute_unchecked(layout, vec, order)
-    dims = layout.dims
-    d_cn = d_c**n
-    rest = int(np.prod(dims[n:], dtype=np.int64)) if len(dims) > n else 1
-    mat = vec.reshape(d_cn, rest)
-    gathered = mat[typical_indices, :]
-    out = np.zeros((total_dim, rest), dtype=np.complex128)
+    vec = _rotate_copies(vec, n, c_eigvecs.conj().T)
+    gathered = vec.reshape(mask.size, -1)[mask]
+    out = np.zeros((total_dim, gathered.shape[1]), dtype=np.complex128)
     out[: gathered.shape[0], :] = gathered
     flat = out.reshape(-1)
     norm = float(np.linalg.norm(flat))
     if norm < 1e-12:
         raise DegenerateProjectionError("embedding dropped all amplitude mass")
-    d_a = int(np.prod(dims[n : 2 * n], dtype=np.int64))
-    d_b = int(np.prod(dims[2 * n : 3 * n], dtype=np.int64))
-    d_r = int(np.prod(dims[3 * n :], dtype=np.int64))
+    d_a, d_b, d_r = (math.prod(layout.dims[k * n : (k + 1) * n]) for k in (1, 2, 3))
     new_layout = SystemLayout.of(("C", total_dim), ("A", d_a), ("B", d_b), ("R", d_r))
     return PureState(new_layout, flat / norm)
 
@@ -379,37 +369,39 @@ def iid_experiment(
     exceed ``guard`` vector entries.
     """
     canon = canonicalize(phi, roles)
-    size = canon.layout.total_dim ** spec.n
-    if size > guard:
-        raise GuardExceededError(
-            f"phi^(x){spec.n} needs {size} vector entries, above the guard of {guard}"
-        )
+    check_guard(f"phi^(x){spec.n}", canon.layout.total_dim ** spec.n, guard)
     if stream is None:
         stream = SeededStream(0)
     rates = resource_rates(canon, IDENTITY_ROLES)
+    n = spec.n
 
-    from .qstate import partial_trace
+    def basis(*group: str) -> tuple[np.ndarray, TypicalProjector, np.ndarray]:
+        """Eigenvectors, typical statistics and string mask of one group's single-copy marginal."""
+        eigs, vecs = np.linalg.eigh(vector_partial_trace(canon.amplitudes, canon.dims, canon.layout.axes(group)))
+        stats = typical_stats(eigs, spec)
+        return vecs, stats, _mask(stats)
 
-    rho_c = partial_trace(canon, ["C"])
-    rho_a = partial_trace(canon, ["A"])
-    rho_b = partial_trace(canon, ["B"])
-    rho_ar = partial_trace(canon, ["A", "R"])
-    rho_br = partial_trace(canon, ["B", "R"])
+    def project(vec: np.ndarray, *group: str) -> np.ndarray:
+        vecs, _, mask = basis(*group)
+        return _project(layout, vec, group, n, vecs, mask)
 
-    psi = tensor_power(canon, spec.n)
-    omega, p_success = project_typical(psi, [(("C",), rho_c)], spec)
-    hat, _ = project_typical(psi, [(("C",), rho_c), (("A",), rho_a), (("B", "R"), rho_br)], spec)
-    check, _ = project_typical(psi, [(("C",), rho_c), (("B",), rho_b), (("A", "R"), rho_ar)], spec)
-
-    c_eigs, c_vecs = np.linalg.eigh(rho_c.matrix)
-    typical_indices = np.flatnonzero(string_mask(c_eigs, spec))
-    stats = typical_stats(c_eigs, spec)
+    # One C projection serves all three states: omega is its normalization,
+    # hat and check continue from it (A then BR, B then AR).
+    psi = tensor_power(canon, n)
+    layout = psi.layout
+    c_vecs, stats, c_mask = basis("C")
+    projected = _project(layout, psi.amplitudes, ("C",), n, c_vecs, c_mask)
+    del psi
+    hat, _ = _normalized(project(project(projected, "A"), "B", "R"))
+    check, _ = _normalized(project(project(projected, "B"), "A", "R"))
+    omega, p_success = _normalized(projected)
+    del projected
 
     allocation = allocate_partition(stats.rank, rates, spec)
     total = allocation.d1 * allocation.d2 * allocation.d3
-    omega_e = _embed_typical_c(omega, spec.n, c_vecs, typical_indices, total)
-    hat_e = _embed_typical_c(hat, spec.n, c_vecs, typical_indices, total)
-    check_e = _embed_typical_c(check, spec.n, c_vecs, typical_indices, total)
+    omega_e, hat_e, check_e = (
+        _embed_typical_c(layout, v, n, c_vecs, c_mask, total) for v in (omega, hat, check)
+    )
 
     plan = build_plan(
         omega_e,
@@ -421,8 +413,7 @@ def iid_experiment(
     )
     report = run_forward(omega_e, plan)
 
-    n, delta, t = spec.n, spec.delta, spec.t
-    tail = 4.0 * (2.0 * 2.0 ** (-n * (2.0 * allocation.eta_slack + 3.0 * t * delta))) ** 0.25
+    tail = 4.0 * (2.0 * 2.0 ** (-n * (2.0 * allocation.eta_slack + 3.0 * spec.t * spec.delta))) ** 0.25
     return IidExperimentReport(
         n=n,
         success_probability=p_success,

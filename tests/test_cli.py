@@ -136,6 +136,14 @@ class TestIid:
         assert header[0] == "n" and "per_copy_qubits" in header
         assert len(lines) == 3  # header + one row per n
         assert lines[1].startswith("2,") and lines[2].startswith("3,")
+        for line in lines[1:]:
+            cells = line.split(",")
+            assert len(cells) == len(header)
+            for cell in cells:  # plain numbers, not numpy reprs such as np.float64(...)
+                try:
+                    int(cell)
+                except ValueError:
+                    float(cell)
 
 
 class TestExitCodes:
@@ -174,11 +182,31 @@ class TestExitCodes:
         (("--n", "2", "--t", "1"), "t must be > 1"),
         (("--n", "2", "--t", "inf"), "t must be > 1"),
         (("--sweep", "5..2"), "--sweep"),
+        (("--sweep", "1..x"), "--sweep"),
+        (("--sweep", "0..1"), "n must be >= 1"),
+        (("--sweep", ""), "--sweep"),
+        (("--n", "3", "--sweep", "2..3"), "not allowed with"),
+        ((), "one of the arguments --n --sweep is required"),
     ])
     def test_iid_domain_errors_are_usage_errors(self, capsys, argv, text):
         code, out, err = run_cli(capsys, "iid", "--state", "bell-CR", *argv)
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and text in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("sample-state", "--dims", "C=100000,A=100000"), id="sample-state"),
+        pytest.param(("decouple", "--partition", "1,1,100000", "--dim-c", "100000", "--samples", "100"),
+                     id="decouple"),
+        pytest.param(("protocol", "--state", "{big}", "--partition", "4096,1,1"), id="protocol"),
+    ])
+    def test_size_guard_refuses_before_allocating(self, capsys, tmp_path, argv):
+        # Each of these asks for far more than the guard (74.5 GiB, 596 GiB
+        # and 1 TiB); each must be refused before any large array exists.
+        big = tmp_path / "big.json"
+        assert main(["sample-state", "--dims", "C=4096,A=1,B=1,R=1", "--out", str(big)]) == 0
+        code, out, err = run_cli(capsys, *(str(big) if a == "{big}" else a for a in argv))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "guard" in err and "Traceback" not in err
 
     def test_missing_subcommand_is_usage(self, capsys):
         assert run_cli(capsys, )[0] == 1
