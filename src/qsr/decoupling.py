@@ -8,26 +8,32 @@ and symmetrically for keeping C2 (denominator d_C1 * d_C3).  A Haar-averaged
 squared residual never exceeds the bound, which Markov-translates into more
 than half of all unitaries satisfying residual^2 <= 2 * bound; the search
 below exploits exactly that.
+
+This is the only module that evaluates a decoupling condition: one kernel for
+the residual and one for the bound, both on a pure vector with C on axis 0.
+The protocol passes its reference states; the density-operator API below
+(what ``qsr decouple`` runs) purifies its operand once per call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .metrics import purity
-from .qstate import DensityOperator, LayoutError, LinearMap, SystemLayout
+from .qstate import DensityOperator, LayoutError, LinearMap, SystemLayout, marginal_purity
+from .qstate import _matricize, _purifying_factor
 from .sampling import SeededStream, as_generator, haar_unitary_batch, haar_unitary_matrix
 
 DEFAULT_SEARCH_ITERS = 64
 MIN_HAAR_SAMPLES = 100
 
-# Bytes of rotated operators per block in haar_average_check: 64 draws of a
-# 16 x 16 complex operator (d_C = 8 with a qubit side system).
+# Draws per block in haar_average_check are HAAR_BLOCK_BYTES // rho.matrix.nbytes:
+# 64 at d_C = 8 with a qubit side system.  Each draw's rotated purification is
+# at most rho's size, so a block's stack stays within this many bytes.
 HAAR_BLOCK_BYTES = 1 << 18
-_ROTATE_PATH = ["einsum_path", (0, 1), (0, 1)]  # U with rho, then with U*; skips per-call planning
 
 KEEP_C1 = "C1"
 KEEP_C2 = "C2"
@@ -95,58 +101,70 @@ def _keep_index(keep: str) -> int:
     return 0 if keep == KEEP_C1 else 1
 
 
+def _bound(vec: np.ndarray, dims: tuple[int, ...], side: Sequence[int], keep: str, p: CutPartition) -> float:
+    """The bound of the condition :func:`_residuals` measures; Tr(rho^2) of ``vec`` on C and ``side``."""
+    p.check_total(dims[0])
+    d_side, traced = math.prod(dims[a] for a in side), (p.d23, p.d13)[_keep_index(keep)]
+    return decoupling_bound(dims[0], d_side, marginal_purity(vec, dims, (0, *side)), traced)
+
+
+def _residuals(
+    vec: np.ndarray, dims: tuple[int, ...], side: Sequence[int], keep: str, p: CutPartition, us: np.ndarray
+) -> np.ndarray:
+    """The residual of pure ``vec`` (C on axis 0, ``side`` kept whole) for each U of a (k, d_C, d_C) stack.
+
+    U rotates axis 0 and M is the result matricized on (kept factor, side); the
+    residual is || M M^H - pi_kept (x) vec's side marginal ||_1, by one batched ``eigvalsh``.
+    """
+    d_c = dims[0]
+    p.check_total(d_c)
+    if us.ndim != 3 or us.shape[1:] != (d_c, d_c):
+        raise LayoutError(f"unitary stack shape {us.shape} does not match d_C = {d_c}")
+    axis = _keep_index(keep)
+    d_kept, s = (p.d1, p.d2)[axis], _matricize(vec, dims, side)
+    rotated = (us @ vec.reshape(d_c, -1)).reshape((len(us), p.d1, p.d2, p.d3, *dims[1:]))
+    rows = [1 + axis] + [3 + a for a in side]
+    m = np.moveaxis(rotated, rows, range(1, len(rows) + 1)).reshape(len(us), d_kept * len(s), -1)
+    target = np.kron(np.eye(d_kept) / d_kept, s @ s.conj().T)
+    return np.abs(np.linalg.eigvalsh(m @ m.conj().transpose(0, 2, 1) - target)).sum(axis=1)
+
+
+def _residuals_of(first: tuple, second: tuple, p: CutPartition) -> Callable:
+    """Two conditions' residuals at one unitary, for :func:`search_unitary`; each is a kernel operand."""
+    return lambda u: (float(_residuals(*first, p, u[None])[0]), float(_residuals(*second, p, u[None])[0]))
+
+
+def _purified(rho: DensityOperator, keep: str) -> tuple:
+    """The kernels' operand for ``rho`` (C first, then the side): its purification, purifier last."""
+    factor = _purifying_factor(rho.matrix)
+    dims = rho.layout.dims + (factor.shape[1],)
+    return factor.reshape(-1), dims, tuple(range(1, len(dims) - 1)), keep
+
+
 def single_bound(rho: DensityOperator, p: CutPartition, keep: str) -> float:
     """The Haar-average bound for one decoupling condition on ``rho``.
 
     ``rho``'s first subsystem is the C register (dimension p.total); the rest
     is the side system that must stay intact.
     """
-    d_c = rho.layout.dims[0]
-    p.check_total(d_c)
-    traced = (p.d23, p.d13)[_keep_index(keep)]
-    return decoupling_bound(d_c, rho.layout.total_dim // d_c, purity(rho), traced)
+    return _bound(*_purified(rho, keep), p)
 
 
 def bounds(omega: DensityOperator, psi: DensityOperator, p: CutPartition) -> DecouplingBounds:
-    """Bounds (alpha, beta) for the keep-C1 condition on omega and keep-C2 on psi."""
-    if omega.layout.dims[0] != psi.layout.dims[0]:
-        raise LayoutError(
-            f"C dimensions differ: {omega.layout.dims[0]} vs {psi.layout.dims[0]}"
-        )
-    return DecouplingBounds(
-        alpha=single_bound(omega, p, KEEP_C1),
-        beta=single_bound(psi, p, KEEP_C2),
-    )
+    """Bounds (alpha, beta) for keep C1 on omega and keep C2 on psi; ``p`` must factor both C registers."""
+    return DecouplingBounds(alpha=single_bound(omega, p, KEEP_C1), beta=single_bound(psi, p, KEEP_C2))
 
 
-def residual_stack(
-    rho: DensityOperator, us: np.ndarray, p: CutPartition, keep: str
-) -> np.ndarray:
+def residual_stack(rho: DensityOperator, us: np.ndarray, p: CutPartition, keep: str) -> np.ndarray:
     """The residual of :func:`residual` for each unitary of a (k, d_C, d_C) stack.
 
-    One einsum rotates ``rho`` by the whole stack, one more traces out the
-    other two factors of C (the side system is kept whole), and one batched
-    ``eigvalsh`` gives all k trace distances.  Memory: a few stacks of k
-    operators of ``rho``'s size.
+    ``rho`` is purified once and the stack goes through one kernel call.
+    Memory: a few stacks of k vectors of rank(rho) times ``rho``'s dimension.
     """
-    d_c = rho.layout.dims[0]
-    p.check_total(d_c)
-    if us.ndim != 3 or us.shape[1:] != (d_c, d_c):
-        raise LayoutError(f"unitary stack shape {us.shape} does not match d_C = {d_c}")
-    k, axis, d_s = len(us), _keep_index(keep), rho.layout.total_dim // d_c
-    four = rho.matrix.reshape(d_c, d_s, d_c, d_s)
-    rotated = np.einsum("kab,bxdy,kcd->kaxcy", us, four, us.conj(), optimize=_ROTATE_PATH)
-    split = rotated.reshape((k,) + (p.d1, p.d2, p.d3, d_s) * 2)
-    reduced = np.einsum(("kabcxdbcy->kaxdy", "kabcxaecy->kbxey")[axis], split)
-    d_kept = (p.d1, p.d2)[axis]
-    target = np.kron(np.eye(d_kept) / d_kept, np.einsum("axay->xy", four))
-    diff = reduced.reshape(k, d_kept * d_s, d_kept * d_s) - target
-    return np.abs(np.linalg.eigvalsh(diff)).sum(axis=1)
+    return _residuals(*_purified(rho, keep), p, us)
 
 
-def residual(
-    rho: DensityOperator, u: "LinearMap | np.ndarray", p: CutPartition, keep: str
-) -> float:
+def residual(rho: DensityOperator, u: "LinearMap | np.ndarray", p: CutPartition, keep: str) -> float:
     """Trace distance between the kept factor of U.rho and its decoupled target.
 
     keep C1: || Tr_{C2 C3}[U.rho] - pi_{C1} (x) rho_side ||_1, and symmetrically
@@ -185,15 +203,15 @@ def haar_average_check(
     if n_samples < MIN_HAAR_SAMPLES:
         raise ValueError(f"need at least {MIN_HAAR_SAMPLES} samples, got {n_samples}")
     rng = as_generator(stream)
-    d_c = rho.layout.dims[0]
+    condition, d_c = _purified(rho, keep), rho.layout.dims[0]
     block = max(1, HAAR_BLOCK_BYTES // rho.matrix.nbytes)
     sq = np.empty(n_samples)
     for start in range(0, n_samples, block):
         us = haar_unitary_batch(min(block, n_samples - start), d_c, rng)
-        sq[start:start + len(us)] = residual_stack(rho, us, p, keep) ** 2
+        sq[start:start + len(us)] = _residuals(*condition, p, us) ** 2
     mean = float(sq.mean())
     se = float(sq.std(ddof=1) / np.sqrt(n_samples))
-    bound_value = single_bound(rho, p, keep)
+    bound_value = _bound(*condition, p)
     return HaarAverageCheck(
         mean_square=mean,
         std_error=se,
@@ -259,12 +277,9 @@ def find_simultaneous_unitary(
     if stream is None:
         stream = SeededStream(0)
     rng = as_generator(stream)
-    b = bounds(omega, psi, p)
+    first, second = _purified(omega, KEEP_C1), _purified(psi, KEEP_C2)
+    alpha, beta = _bound(*first, p), _bound(*second, p)  # each checks that p factors its C
     d_c = omega.layout.dims[0]
-
-    def residuals_of(u: np.ndarray) -> tuple[float, float]:
-        return (residual(omega, u, p, KEEP_C1), residual(psi, u, p, KEEP_C2))
-
-    u, res, iters = search_unitary(d_c, residuals_of, b.alpha, b.beta, max_iters, rng)
+    u, res, iters = search_unitary(d_c, _residuals_of(first, second, p), alpha, beta, max_iters, rng)
     layout = SystemLayout.of(("C", d_c))
     return LinearMap(layout, layout, u, kind="unitary"), res, iters

@@ -59,6 +59,7 @@ class DegenerateProjectionError(RuntimeError):
 
 
 DEFAULT_GUARD = 2**20  # max array entries the driver and the CLI will materialize
+_MAX_AXES = 64  # numpy's limit on array axes; phi^(x)n takes one per subsystem copy
 
 
 def check_guard(what: str, entries: int, guard: int = DEFAULT_GUARD) -> None:
@@ -366,10 +367,13 @@ def iid_experiment(
     (failure branch dropped, success probability reported), constructs the
     two projected reference states, allocates the cut, embeds, and runs the
     protocol forward.  Refuses with a size report when the tensor power would
-    exceed ``guard`` vector entries.
+    exceed ``guard`` vector entries or numpy's limit on array axes.
     """
     canon = canonicalize(phi, roles)
     check_guard(f"phi^(x){spec.n}", canon.layout.total_dim ** spec.n, guard)
+    axes = len(canon.layout.dims) * spec.n
+    if axes > _MAX_AXES:
+        raise GuardExceededError(f"phi^(x){spec.n} needs {axes} per-copy axes; numpy allows {_MAX_AXES}")
     if stream is None:
         stream = SeededStream(0)
     rates = resource_rates(canon, IDENTITY_ROLES)

@@ -4,7 +4,9 @@ Given phi on C A B R (Alice holds A C, Bob holds B, R purifies), a cut
 C = C1 C2 C3, and a pair of reference states, the plan assembles
 
 * a unitary U on C that simultaneously decouples C2 from B R in the first
-  reference (tracing C1 C3) and C1 from A R in the second (tracing C2 C3),
+  reference (tracing C1 C3) and C1 from A R in the second (tracing C2 C3);
+  both conditions, residuals and bounds, are evaluated by the kernels of
+  qsr.decoupling on the pure references, the same ones ``qsr decouple`` runs,
 * an encoder isometry  W: C1 C3 A -> A2 C'' A''  aligning U applied to the
   first reference with Phi_{C2 A2} (x) reference, shared systems C2 B R,
 * a decoder isometry   V: C2 C3 B -> B1 C' B'   aligning U applied to the
@@ -32,8 +34,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .decoupling import CutPartition, decoupling_bound, search_unitary
-from .metrics import hermitian_trace_distance, pure_trace_distance, role_groups
+from .decoupling import CutPartition, _bound, _residuals_of, search_unitary
+from .metrics import pure_trace_distance, role_groups
 from .qstate import (
     InvariantViolation,
     LayoutError,
@@ -41,14 +43,11 @@ from .qstate import (
     PureState,
     SystemLayout,
     apply_unchecked,
-    marginal_purity,
     maximally_entangled,
     merge_subsystems,
     permute,
     permute_unchecked,
     split_subsystem,
-    vector_apply,
-    vector_partial_trace,
 )
 from .sampling import SeededStream, as_generator
 from .uhlmann import UhlmannResult, uhlmann_isometry
@@ -129,28 +128,9 @@ def _cut(p: CutPartition) -> dict[str, int]:
     return {"C1": p.d1, "C2": p.d2, "C3": p.d3}
 
 
-def _split_c(layout: SystemLayout, p: CutPartition) -> SystemLayout:
-    return split_subsystem(layout, "C", tuple(_cut(p).items()))
-
-
-def _residual(half: _Half, ref: PureState, u: np.ndarray, p: CutPartition) -> float:
-    """|| Tr_{not shared}[U.ref] - pi_{kept} (x) ref_{side} ||_1 straight from the pure reference."""
-    layout = ref.layout
-    split = _split_c(layout, p)
-    rotated, _ = vector_apply(ref.amplitudes, layout.dims, [0], u, (layout.dims[0],))
-    reduced = vector_partial_trace(rotated, split.dims, split.axes(half.shared))
-    side = vector_partial_trace(ref.amplitudes, layout.dims, layout.axes(half.shared[1:]))
-    d_kept = _cut(p)[half.kept]
-    return hermitian_trace_distance(reduced, np.kron(np.eye(d_kept) / d_kept, side))
-
-
-def _bound(half: _Half, ref: PureState, p: CutPartition) -> float:
-    """Haar-average bound on the squared residual: d_C d_side Tr(ref_{C side}^2) / (d_C / d_kept)^2."""
-    layout = ref.layout
-    d_c = layout.dim_of("C")
-    side = half.shared[1:]
-    purity = marginal_purity(ref.amplitudes, layout.dims, layout.axes(("C",) + side))
-    return decoupling_bound(d_c, layout.dim_of_set(side), purity, d_c // _cut(p)[half.kept])
+def _condition(half: _Half, ref: PureState) -> tuple:
+    """The half's decoupling condition on canonical ``ref`` as an operand of the qsr.decoupling kernels."""
+    return ref.amplitudes, ref.dims, ref.layout.axes(half.shared[1:]), half.kept
 
 
 def _eta(bound: float) -> float:
@@ -167,7 +147,7 @@ def _pair_state(half: _Half, ref: PureState, p: CutPartition) -> PureState:
 def _align(half: _Half, ref: PureState, u: LinearMap, p: CutPartition) -> UhlmannResult:
     """The isometry taking U.ref (C split) to the half's pair state, with ``half.shared`` fixed."""
     layout, vec = apply_unchecked(u, ref.layout, ref.amplitudes, ("C",))
-    mu = PureState(_split_c(layout, p), vec)
+    mu = PureState(split_subsystem(layout, "C", tuple(_cut(p).items())), vec)
     return uhlmann_isometry(mu, _pair_state(half, ref, p), half.shared)
 
 
@@ -177,8 +157,8 @@ def eta_bounds(refs: ReferencePair, p: CutPartition) -> tuple[float, float]:
     eta1 = 2 * (2 d_C d_BR Tr(hat_CBR^2) / d_{C1 C3}^2)^(1/4)   (decouple C2 from B R)
     eta2 = 2 * (2 d_C d_AR Tr(check_CAR^2) / d_{C2 C3}^2)^(1/4) (decouple C1 from A R)
     """
-    p.check_total(refs.hat.layout.dim_of("C"))
-    return _eta(_bound(_ENCODER, refs.hat, p)), _eta(_bound(_DECODER, refs.check, p))
+    hat, check = (canonicalize(ref, IDENTITY_ROLES) for ref in (refs.hat, refs.check))
+    return _eta(_bound(*_condition(_ENCODER, hat), p)), _eta(_bound(*_condition(_DECODER, check), p))
 
 
 @dataclass(frozen=True)
@@ -268,12 +248,9 @@ def build_plan(
     rng = as_generator(stream)
 
     # alpha bounds the decoder's condition on check, beta the encoder's on hat.
-    alpha, beta = _bound(_DECODER, check, p), _bound(_ENCODER, hat, p)
-
-    def residuals_of(u: np.ndarray) -> tuple[float, float]:
-        return _residual(_DECODER, check, u, p), _residual(_ENCODER, hat, u, p)
-
-    u_mat, res, iters = search_unitary(d_c, residuals_of, alpha, beta, search_budget, rng)
+    first, second = _condition(_DECODER, check), _condition(_ENCODER, hat)
+    alpha, beta = _bound(*first, p), _bound(*second, p)
+    u_mat, res, iters = search_unitary(d_c, _residuals_of(first, second, p), alpha, beta, search_budget, rng)
     c_layout = SystemLayout.of(("C", d_c))
     u_map = LinearMap(c_layout, c_layout, u_mat, kind="unitary")
     w_res = _align(_ENCODER, hat, u_map, p)

@@ -482,15 +482,16 @@ def purify(rho: DensityOperator, purifier_label: str) -> PureState:
     """
     if purifier_label in rho.layout.labels:
         raise LayoutError(f"purifier label {purifier_label!r} already in layout")
-    evals, evecs = np.linalg.eigh(rho.matrix)
+    factor = _purifying_factor(rho.matrix)
+    layout = rho.layout.concat(SystemLayout.of((purifier_label, factor.shape[1])))
+    return PureState(layout, factor.reshape(-1))
+
+
+def _purifying_factor(mat: np.ndarray) -> np.ndarray:
+    """F with F F^H = ``mat``: entry (i, r) is sqrt(lambda_r) v_r[i] over the eigenvalues above the clamp."""
+    evals, evecs = np.linalg.eigh(mat)
     keep = evals > DEFAULT_TOLS.eigenvalue_clamp
-    evals = evals[keep]
-    evecs = evecs[:, keep]
-    rank = int(evals.shape[0])
-    # amplitudes[(i, r)] = sqrt(lambda_r) * v_r[i], original system most significant
-    amps = (evecs * np.sqrt(evals)).reshape(-1)
-    layout = rho.layout.concat(SystemLayout.of((purifier_label, rank)))
-    return PureState(layout, amps)
+    return evecs[:, keep] * np.sqrt(evals[keep])
 
 
 def maximally_entangled(d: int, labels: tuple[str, str] = ("M0", "M1")) -> PureState:

@@ -159,6 +159,13 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "iid", "--state", "product", "--n", "8", "--seed", "1")
         assert code == 2 and "guard" in err
 
+    def test_axis_limit_refusal_is_two(self, capsys, tmp_path):
+        state = str(tmp_path / "two.json")
+        assert run_cli(capsys, "sample-state", "--dims", "C=2,A=1,B=1,R=1", "--out", state)[0] == 0
+        code, out, err = run_cli(capsys, "iid", "--state", state, "--n", "17", "--delta", "0.5")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "axes" in err and "Traceback" not in err
+
     def test_infeasible_allocation_is_two(self, capsys):
         code, _, err = run_cli(capsys, "iid", "--state", "tilted-CR", "--n", "3",
                                "--delta", "0.4", "--seed", "1")

@@ -136,16 +136,18 @@ class TestResidualStack:
 
     @pytest.mark.parametrize("keep", [KEEP_C1, KEEP_C2])
     @pytest.mark.parametrize(
-        "side,cut",
+        "side,cut,rank",
         [
-            ((("F", 2),), (2, 2, 2)),
-            ((("F", 2), ("G", 3)), (2, 2, 2)),  # two-factor side system
-            ((("F", 2),), (1, 4, 2)),           # d1 = 1
-            ((("F", 3),), (2, 4, 1)),           # d3 = 1
+            pytest.param((("F", 2),), (2, 2, 2), 3, id="side0-cut0"),
+            pytest.param((("F", 2), ("G", 3)), (2, 2, 2), 3, id="side1-cut1"),  # two-factor side system
+            pytest.param((("F", 2),), (1, 4, 2), 3, id="side2-cut2"),           # d1 = 1
+            pytest.param((("F", 3),), (2, 4, 1), 3, id="side3-cut3"),           # d3 = 1
+            pytest.param((("F", 8),), (2, 2, 2), 3, id="wide-side"),            # d_side = 8 > rank
+            pytest.param((("F", 2),), (2, 2, 2), 1, id="rank-one"),             # one-dimensional purifier
         ],
     )
-    def test_matches_loop_oracle(self, side, cut, keep):
-        rho = random_density(SystemLayout.of(("C", 8), *side), 3, SeededStream(64).derive(len(side)))
+    def test_matches_loop_oracle(self, side, cut, rank, keep):
+        rho = random_density(SystemLayout.of(("C", 8), *side), rank, SeededStream(64).derive(len(side)))
         p = CutPartition(*cut)
         us = haar_unitary_batch(3, 8, SeededStream(65).generator())
         got = residual_stack(rho, us, p, keep)

@@ -274,6 +274,16 @@ class TestExperimentDriver:
             iid_experiment(preset_state("product"), PRESET_ROLES,
                            TypicalSpec(n=6, delta=0.1), SeededStream(125))
 
+    def test_axis_limit_refusal(self):
+        # C=2 with unit A, B, R: phi^(x)17 has 2^17 entries, under the entries
+        # guard, but 68 per-copy axes; numpy allows 64, so n = 16 still runs.
+        lay = SystemLayout.of(("C", 2), ("A", 1), ("B", 1), ("R", 1))
+        phi = random_pure_state(lay, SeededStream(131))
+        with pytest.raises(GuardExceededError, match="68 per-copy axes"):
+            iid_experiment(phi, PRESET_ROLES, TypicalSpec(n=17, delta=0.5), SeededStream(132))
+        rep = iid_experiment(phi, PRESET_ROLES, TypicalSpec(n=16, delta=0.5), SeededStream(132))
+        assert rep.protocol.distance_to_target <= 1e-6
+
     def test_determinism(self):
         a = iid_experiment(preset_state("tilted-CR"), PRESET_ROLES,
                            TypicalSpec(n=4, delta=0.4), SeededStream(126))

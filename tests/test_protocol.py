@@ -1,7 +1,7 @@
 """Plan assembly, forward/reverse runs, bounds, and the resource ledger."""
 
 import numpy as np
-from qsr.decoupling import CutPartition, decoupling_bound
+from qsr.decoupling import KEEP_C1, KEEP_C2, CutPartition, decoupling_bound, residual, single_bound
 from qsr.metrics import pure_trace_distance
 from qsr.presets import PRESET_ROLES, preset_state
 from qsr.protocol import (
@@ -19,6 +19,7 @@ from qsr.qstate import (
     SystemLayout,
     apply,
     maximally_entangled,
+    partial_trace,
     tensor,
 )
 from qsr.sampling import SeededStream, random_pure_state
@@ -319,5 +320,12 @@ class TestHalvesAgainstOracles:
                 eta1, eta2 = 2.0 * (2.0 * beta) ** 0.25, 2.0 * (2.0 * alpha) ** 0.25
                 assert abs(plan.eta1 - eta1) <= 1e-14 and abs(plan.eta2 - eta2) <= 1e-14
                 assert np.allclose(eta_bounds(plan.refs, p), (eta1, eta2), rtol=0.0, atol=1e-14)
+                # The same conditions through the density-operator API of qsr.decoupling.
+                hat_cbr, check_car = partial_trace(hat, ["C", "B", "R"]), partial_trace(check, ["C", "A", "R"])
+                assert abs(plan.measured_eps1 - residual(hat_cbr, plan.unitary, p, KEEP_C2)) <= 1e-12
+                assert abs(plan.measured_eps2 - residual(check_car, plan.unitary, p, KEEP_C1)) <= 1e-12
+                etas = (2.0 * (2.0 * single_bound(rho, p, keep)) ** 0.25
+                        for rho, keep in ((hat_cbr, KEEP_C2), (check_car, KEEP_C1)))
+                assert np.allclose(eta_bounds(plan.refs, p), tuple(etas), rtol=0.0, atol=1e-12)
                 assert plan.delta1 == plan.gamma1 + plan.eta1 > plan.eta1
                 assert plan.delta2 == plan.gamma2 + plan.eta2 > plan.eta2
