@@ -35,7 +35,7 @@ from .iid import (
     check_guard,
     iid_experiment,
 )
-from .metrics import marginal_entropy, resource_rates, role_groups
+from .metrics import ROLES, marginal_entropy, resource_rates, role_groups
 from .presets import PRESET_NAMES, PRESET_ROLES, preset_state
 from .protocol import build_plan, run_forward, run_reverse
 from .qstate import (
@@ -131,7 +131,7 @@ def _load_state(spec: str, stream: SeededStream) -> tuple[PureState, dict[str, s
             state = state_from_json(path.read_text())
         except (OSError, ValueError) as exc:  # unreadable, not text, or not a valid state
             raise UsageError(f"{spec}: {exc}") from exc
-        roles = {lab: lab for lab in state.layout.labels if lab in ("C", "A", "B", "R")}
+        roles = {lab: lab for lab in state.layout.labels if lab in ROLES}
     digest = hashlib.sha256(state_to_json(state).encode()).hexdigest()
     return state, roles, digest
 

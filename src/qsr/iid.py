@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .decoupling import CutPartition
-from .metrics import ResourceRates, entropy_bits, resource_rates
+from .metrics import ROLES, ResourceRates, entropy_bits, resource_rates
 from .protocol import (
     IDENTITY_ROLES,
     ProtocolPlan,
@@ -283,8 +283,8 @@ def allocate_partition(rank: int, rates: ResourceRates, spec: TypicalSpec) -> Ii
     q, e1, e2 = rates.qubits, rates.ebits_consumed, rates.ebits_distilled
     target1 = n * (e2 - 3.0 * t * delta)  # = n [I(B;C) - 6 t delta] / 2
     target2 = n * (e1 - 3.0 * t * delta)  # = n [I(A;C) - 6 t delta] / 2
-    d1 = 1 << max(0, math.floor(target1 + 1e-9))
-    d2 = 1 << max(0, math.floor(target2 + 1e-9))
+    d1 = 1 << math.floor(max(0.0, target1 + 1e-9))
+    d2 = 1 << math.floor(max(0.0, target2 + 1e-9))
     d3 = -(-rank // (d1 * d2))  # ceil
     padding = d1 * d2 * d3 - rank
     s_c = q + e1 + e2  # 2 S(C) = I(B;C) + I(A;C) + I(C;R|B)
@@ -318,7 +318,7 @@ def _embed_typical_c(
     merges the A/B/R copies into single subsystems.  Part of Alice's encoder;
     costs nothing.
     """
-    order = [f"{lab}{i}" for lab in ("C", "A", "B", "R") for i in range(1, n + 1)]
+    order = [f"{lab}{i}" for lab in ROLES for i in range(1, n + 1)]
     layout, vec = permute_unchecked(layout, vec, order)
     vec = _rotate_copies(vec, n, c_eigvecs.conj().T)
     gathered = vec.reshape(mask.size, -1)[mask]

@@ -36,8 +36,7 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     """||rho - sigma||_1 for same-layout operators (sum of |eigenvalues|)."""
     if rho.layout != sigma.layout:
         raise LayoutError("trace_distance requires operators on the same layout")
-    diff = rho.matrix - sigma.matrix
-    return float(np.abs(np.linalg.eigvalsh(diff)).sum())
+    return hermitian_trace_distance(rho.matrix, sigma.matrix)
 
 
 def hermitian_trace_distance(a: np.ndarray, b: np.ndarray) -> float:

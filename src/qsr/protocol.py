@@ -35,7 +35,7 @@ from typing import Mapping
 import numpy as np
 
 from .decoupling import CutPartition, _bound, _residuals_of, search_unitary
-from .metrics import pure_trace_distance, role_groups
+from .metrics import ROLES, pure_trace_distance, role_groups
 from .qstate import (
     InvariantViolation,
     LayoutError,
@@ -52,22 +52,19 @@ from .qstate import (
 from .sampling import SeededStream, as_generator
 from .uhlmann import UhlmannResult, uhlmann_isometry
 
-CANONICAL_ROLES = ("C", "A", "B", "R")
-
-
 def canonicalize(phi: PureState, roles: Mapping[str, str]) -> PureState:
     """Merge role groups into the canonical four-subsystem layout C, A, B, R."""
     groups = role_groups(phi.layout.labels, roles)
-    ordered = [lab for role in CANONICAL_ROLES for lab in groups[role]]
+    ordered = [lab for role in ROLES for lab in groups[role]]
     layout, vec = permute_unchecked(phi.layout, phi.amplitudes, ordered)
     # Merge under temporary names first: a label may equal another group's
     # role (e.g. swapping the A and B assignments).
-    for role in CANONICAL_ROLES:
+    for role in ROLES:
         layout = merge_subsystems(layout, groups[role], f"role:{role}")
-    return PureState(layout.renamed({f"role:{role}": role for role in CANONICAL_ROLES}), vec)
+    return PureState(layout.renamed({f"role:{role}": role for role in ROLES}), vec)
 
 
-IDENTITY_ROLES = {r: r for r in CANONICAL_ROLES}
+IDENTITY_ROLES = {r: r for r in ROLES}
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """Alignment of two purifications sharing a subsystem.
 
-Given pure states mu on S (x) B and nu on S (x) C with d_B <= d_C, the polar
-factor of the cross operator X[c,b] = sum_s <s,c|nu>* <s,b|mu> is the isometry
-K: B -> C maximizing |<nu|(I (x) K)|mu>|.  The maximum equals the Uhlmann
-fidelity F(mu_S, nu_S), so when the shared marginals are eps-close in trace
-distance the aligned states are within 2 sqrt(eps).
+Given pure states mu on S (x) B and nu on S (x) C with d_B <= d_C, the
+conjugated polar factor K of the cross operator X[c,b] = sum_s <s,c|nu>* <s,b|mu>
+is an isometry B -> C maximizing |<nu|(I (x) K)|mu>|.  The maximum equals the
+Uhlmann fidelity F(mu_S, nu_S), so when the shared marginals are eps-close in
+trace distance the aligned states are within 2 sqrt(eps).  The fidelity fixes
+K only on the support of X; any isometric extension off it gives the same
+overlap and the same bound, so each construction below takes the extension
+its factorization hands it.
 """
 
 from __future__ import annotations
@@ -21,13 +24,6 @@ from .qstate import (
     PureState,
     permute_unchecked,
 )
-
-_NULL_SPACE_CUTOFF = 1e-12
-# Smallest accepted diagonal entry of the completion's Cholesky factor L.  The
-# completion multiplies rounding errors by about 1 / L_ii^2, so 1e-2 keeps
-# them near 1e-12, well inside the 1e-10 isometry check.
-_PIVOT_FLOOR = 1e-2
-
 
 def _shared_first(
     mu: PureState, nu: PureState, shared: "list[str] | tuple[str, ...]"
@@ -73,57 +69,22 @@ def cross_operator(mu: PureState, nu: PureState, shared: "list[str] | tuple[str,
     return n.conj().T @ m
 
 
-def _inverse_cholesky(h: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """L^{-H} for L L^H = I - h_E h_E^H on ``rows`` E; raises if L is near singular."""
-    h_e = h[rows]
-    try:
-        chol = np.linalg.cholesky(np.eye(rows.size) - h_e @ h_e.conj().T)
-    except np.linalg.LinAlgError as exc:
-        raise InvariantViolation("completion rows are linearly dependent") from exc
-    if np.diagonal(chol).real.min() < _PIVOT_FLOOR:
-        raise InvariantViolation("completion rows are nearly linearly dependent")
-    return np.linalg.inv(chol).conj().T
+def _householder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Y, T, R of the Householder QR of ``a`` (d x k, k <= d) in compact WY form.
 
-
-def _pivoted_rows(h: np.ndarray, count: int) -> np.ndarray:
-    """Greedy rows: pivoted Cholesky of I - h h^H, taking the row with most weight left."""
-    residual = 1.0 - np.sum(np.abs(h) ** 2, axis=1)
-    cols = np.zeros((h.shape[0], count), dtype=complex)
-    rows = np.empty(count, dtype=np.intp)
-    for j in range(count):
-        p = rows[j] = int(np.argmax(residual))
-        if residual[p] < _PIVOT_FLOOR**2:
-            raise InvariantViolation("failed to complete orthonormal columns")
-        col = -(h @ h[p].conj()) - cols[:, :j] @ cols[p, :j].conj()
-        col[p] += 1.0
-        cols[:, j] = col / np.sqrt(residual[p])
-        residual -= np.abs(cols[:, j]) ** 2
-        residual[p] = -np.inf
-    return rows
-
-
-def _completion(h: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows E and c = L^{-H} such that (E - h h_E^H) c completes the columns of h.
-
-    E holds ``count`` standard basis vectors and L L^H = I - h_E h_E^H is
-    their Gram matrix after projecting out span(h), so the completion is
-    orthonormal and orthogonal to h.  The rows least represented in h are
-    tried first; a near-singular choice falls back to pivoted rows.
+    Q = I - Y T Y^H is unitary and Q[:, :k] R = a, so the columns of Q past k
+    complete the column space of ``a``.  T is LAPACK zlarft's forward
+    recursion, which also covers reflectors with tau = 0.
     """
-    rows = np.argsort(np.sum(np.abs(h) ** 2, axis=1), kind="stable")[:count]
-    try:
-        return rows, _inverse_cholesky(h, rows)
-    except InvariantViolation:
-        rows = _pivoted_rows(h, count)
-        return rows, _inverse_cholesky(h, rows)
-
-
-def _complete_columns(existing: np.ndarray, count: int) -> np.ndarray:
-    """Orthonormal columns completing ``existing``, built from the standard basis."""
-    rows, c = _completion(existing, count)
-    tail = -(existing @ (existing[rows].conj().T @ c))
-    tail[rows] += c
-    return tail
+    raw, tau = np.linalg.qr(a, mode="raw")
+    d, k = a.shape
+    y = np.tril(raw.T, -1) + np.eye(d, k)
+    gram = y.conj().T @ y
+    t = np.zeros((k, k), dtype=complex)
+    for i in range(k):
+        t[:i, i] = -tau[i] * (t[:i, :i] @ gram[:i, i])
+        t[i, i] = tau[i]
+    return y, t, np.triu(raw.T[:k])
 
 
 @dataclass(frozen=True)
@@ -150,36 +111,30 @@ def uhlmann_isometry(
 ) -> UhlmannResult:
     """Construct the overlap-maximizing isometry from mu's purifier to nu's.
 
-    The polar factor of the cross operator is completed deterministically on
-    any null space; the global phase is fixed so the achieved overlap
-    <nu|(I (x) K)|mu> is real nonnegative (it equals the Uhlmann fidelity of
-    the shared marginals).
+    With d_S >= d_B the thin SVD X = U S V^H gives K = conj(U V^H), singular
+    directions of a rank-deficient X included.  With d_S < d_B, conj(X) =
+    N^T conj(M) has rank at most d_S: one Householder QR per side,
+    N^T = Q_N R_N and M^T = Q_M R_M, reduces it to the d_S x d_S core
+    R_N R_M^H = Uz S Vz^H, and K = Q_N[:, :d_B] diag(Uz Vz^H, I) Q_M^H, at cost
+    O(d_C d_S d_B + d_S d_B^2).  The achieved overlap <nu|(I (x) K)|mu> = sum S
+    is real nonnegative (the Uhlmann fidelity of the shared marginals).
     """
     m, n, mu_own, nu_own = _shared_first(mu, nu, shared)
     d_s, d_b = m.shape
-    if d_s < d_b:
-        # rank X <= d_S: with N^H = Qn Rn and M^H = Qm Rm, X = Qn (Rn Rm^H) Qm^H,
-        # so the SVD of the d_S x d_S core gives the nonzero singular triples.
-        qn, rn = np.linalg.qr(n.conj().T)
-        qm, rm = np.linalg.qr(m.conj().T)
-        uz, s, vzh = np.linalg.svd(rn @ rm.conj().T)
-        u, v = qn @ uz, qm @ vzh.conj().T
-    else:
+    if d_s >= d_b:
         u, s, vh = np.linalg.svd(n.conj().T @ m, full_matrices=False)
-        v = vh.conj().T
-    rank = int(np.sum(s > _NULL_SPACE_CUTOFF))
-    h, v_r = u[:, :rank].conj(), v[:, :rank]
-
-    # K = h v_r^T + tail v_perp^T with tail = (E - h h_E^H) c: the second term
-    # is scattered into rows E plus a rank-r correction, never a dense tail.
-    if rank == d_b:
-        k = h @ v_r.T
+        k = u.conj() @ vh.conj()
     else:
-        v_perp = v[:, rank:] if d_s >= d_b else _complete_columns(v_r, d_b - rank)
-        rows, c = _completion(h, d_b - rank)
-        w = c @ v_perp.T
-        k = h @ (v_r.T - h[rows].conj().T @ w)
-        k[rows] += w
+        y_n, t_n, r_n = _householder(n.T)
+        y_m, t_m, r_m = _householder(m.T)
+        uz, s, vzh = np.linalg.svd(r_n @ r_m.conj().T)
+        # Z = diag(Uz Vz^H, I) Q_M^H is d_B x d_B; Q_N[:, :d_B] Z is Z in the
+        # first d_B rows minus Y_N T_N Y_N[:d_B]^H Z, so Q_N is never formed.
+        z = np.eye(d_b, dtype=complex)
+        z[:d_s, :d_s] = uz @ vzh
+        z -= (z @ y_m) @ (t_m.conj().T @ y_m.conj().T)
+        k = -(y_n @ (t_n @ (y_n[:d_b].conj().T @ z)))
+        k[:d_b] += z
     k_map = LinearMap(
         mu.layout.restrict(mu_own), nu.layout.restrict(nu_own), k, kind="isometry"
     )

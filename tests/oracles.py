@@ -121,6 +121,43 @@ def multinomial(n: int, counts: tuple[int, ...]) -> int:
     return out
 
 
+def polar_isometry(m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """conj(u vh) from the dense SVD of X = n^H m: the isometry (d_C x d_B) aligning m onto n.
+
+    Rows of m (d_S x d_B) and n (d_S x d_C) index the shared system.
+    """
+    u, _, vh = np.linalg.svd(n.conj().T @ m, full_matrices=False)
+    return (u @ vh).conj()
+
+
+def _matricize(tensor: np.ndarray, rows: tuple[int, ...]) -> np.ndarray:
+    cols = [i for i in range(tensor.ndim) if i not in rows]
+    d_rows = math.prod(tensor.shape[i] for i in rows)
+    return tensor.transpose(list(rows) + cols).reshape(d_rows, -1)
+
+
+def protocol_isometries(
+    phi: np.ndarray, u: np.ndarray, cut: tuple[int, int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Encoder W (C1 C3 A -> A2 C'' A'') and decoder V (C2 C3 B -> B1 C' B') as dense polar factors.
+
+    ``phi`` is the (C, A, B, R) amplitude tensor serving as both references
+    and ``u`` the unitary on C = C1 C2 C3 with dims ``cut``.  Each half aligns
+    U.phi with Phi_{kept partner} (x) phi on the shared systems (C2 B R for
+    W, C1 A R for V).
+    """
+    d1, d2, d3 = cut
+    _, d_a, d_b, d_r = phi.shape
+    rotated = np.tensordot(u, phi, axes=(1, 0)).reshape(d1, d2, d3, d_a, d_b, d_r)
+
+    def pair(d: int) -> np.ndarray:  # axes (kept, partner, C, A, B, R)
+        return np.multiply.outer(np.eye(d) / np.sqrt(d), phi)
+
+    w = polar_isometry(_matricize(rotated, (1, 4, 5)), _matricize(pair(d2), (0, 4, 5)))
+    v = polar_isometry(_matricize(rotated, (0, 3, 5)), _matricize(pair(d1), (0, 3, 5)))
+    return w, v
+
+
 def uhlmann_polar(m: np.ndarray, n: np.ndarray) -> tuple[float, float, float]:
     """(overlap, eps_in, distance_out) of aligning m (d_S x d_B) onto n (d_S x d_C).
 
@@ -128,8 +165,8 @@ def uhlmann_polar(m: np.ndarray, n: np.ndarray) -> tuple[float, float, float]:
     operator X = n^H m, its polar factor, and trace norms of explicit
     outer-product differences.
     """
-    u, s, vh = np.linalg.svd(n.conj().T @ m, full_matrices=False)
-    k = (u @ vh).conj()
+    s = np.linalg.svd(n.conj().T @ m, compute_uv=False)
+    k = polar_isometry(m, n)
     moved = (m @ k.T).reshape(-1)
     target = n.reshape(-1)
     eps_in = np.abs(np.linalg.eigvalsh(m @ m.conj().T - n @ n.conj().T)).sum()

@@ -127,6 +127,14 @@ class TestIid:
         res = rec["results"]
         assert res["typical_rank"] == res["d1"] * res["d2"] * res["d3"] - res["padding"] == 128
 
+    @pytest.mark.parametrize("delta,t", [("1e308", "2"), ("0.5", "1e308")])
+    def test_overflowing_window_gives_trivial_ebit_registers(self, capsys, delta, t):
+        # 3 t delta overflows to inf, so both ebit targets are -inf.
+        rec = run_json(capsys, "iid", "--state", "random", "--n", "2", "--delta", delta, "--t", t)
+        res = rec["results"]
+        assert (res["d1"], res["d2"]) == (1, 1)
+        assert all(np.isfinite(v) for v in res.values() if isinstance(v, float))
+
     def test_sweep_emits_csv(self, capsys):
         code, out, err = run_cli(capsys, "iid", "--state", "bell-CR", "--sweep", "2..3",
                                  "--delta", "0.08", "--t", "1.5", "--seed", "1")

@@ -208,6 +208,13 @@ class TestAllocation:
             rhs = rates.ebits_consumed - rates.ebits_distilled
             assert abs(lhs - rhs) <= 6 * spec.t * spec.delta + 2.0 / spec.n + 1e-9
 
+    @pytest.mark.parametrize("delta,t", [(1e308, 2.0), (0.5, 1e308)])
+    def test_infinite_ebit_targets_give_unit_registers(self, delta, t):
+        # n (e - 3 t delta) is -inf here; the registers fall back to d = 1.
+        alloc = allocate_partition(4, self._rates(1.0, 0.5, 0.5), TypicalSpec(n=2, delta=delta, t=t))
+        assert alloc.target_log2_d1 == alloc.target_log2_d2 == -math.inf
+        assert (alloc.d1, alloc.d2, alloc.d3) == (1, 1, 4)
+
     def test_rank_must_be_positive(self):
         with pytest.raises(ValueError):
             allocate_partition(0, self._rates(0.0, 0.0, 0.0), TypicalSpec(n=2, delta=0.1))

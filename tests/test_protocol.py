@@ -1,5 +1,7 @@
 """Plan assembly, forward/reverse runs, bounds, and the resource ledger."""
 
+import dataclasses
+
 import numpy as np
 from qsr.decoupling import KEEP_C1, KEEP_C2, CutPartition, decoupling_bound, residual, single_bound
 from qsr.metrics import pure_trace_distance
@@ -24,7 +26,7 @@ from qsr.qstate import (
 )
 from qsr.sampling import SeededStream, random_pure_state
 
-from oracles import loop_partial_trace
+from oracles import loop_partial_trace, protocol_isometries
 
 RANDOM_LAYOUT = SystemLayout.of(("C", 4), ("A", 2), ("B", 2), ("R", 2))
 ALL_PARTITIONS_OF_4 = [(1, 1, 4), (1, 2, 2), (1, 4, 1), (2, 1, 2), (2, 2, 1), (4, 1, 1)]
@@ -329,3 +331,27 @@ class TestHalvesAgainstOracles:
                 assert np.allclose(eta_bounds(plan.refs, p), tuple(etas), rtol=0.0, atol=1e-12)
                 assert plan.delta1 == plan.gamma1 + plan.eta1 > plan.eta1
                 assert plan.delta2 == plan.gamma2 + plan.eta2 > plan.eta2
+
+
+class TestIsometryExtension:
+    def test_dense_polar_isometries_give_the_same_runs(self):
+        # The fidelity fixes W and V only on the support of their cross
+        # operators.  With phi as both references the runs stay on that
+        # support, so dense polar factors built from scratch must agree.
+        for tag in range(3):
+            phi = canonicalize(_random_phi(300 + tag), PRESET_ROLES)
+            for cut in ALL_PARTITIONS_OF_4:
+                plan = build_plan(phi, PRESET_ROLES, CutPartition(*cut), stream=SeededStream(301).derive(tag))
+                for iso, labels in ((plan.encoder, ("C1", "C3", "A", "A2", "Cpp", "App")),
+                                    (plan.decoder, ("C2", "C3", "B", "B1", "Cp", "Bp"))):
+                    assert iso.input_layout.labels + iso.output_layout.labels == labels
+                w, v = protocol_isometries(phi.amplitudes.reshape(phi.dims), plan.unitary.matrix, cut)
+                dense = dataclasses.replace(
+                    plan,
+                    encoder=LinearMap(plan.encoder.input_layout, plan.encoder.output_layout, w, "isometry"),
+                    decoder=LinearMap(plan.decoder.input_layout, plan.decoder.output_layout, v, "isometry"),
+                )
+                for run in (lambda q: run_forward(phi, q), run_reverse):
+                    got, want = run(dense), run(plan)
+                    assert abs(got.distance_to_target - want.distance_to_target) <= 1e-12
+                    assert abs(got.final_norm - want.final_norm) <= 1e-12

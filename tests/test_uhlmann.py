@@ -17,7 +17,7 @@ from qsr.qstate import (
     vector_partial_trace,
 )
 from qsr.sampling import SeededStream, haar_unitary_matrix, random_pure_state
-from qsr.uhlmann import _complete_columns, cross_operator, uhlmann_isometry
+from qsr.uhlmann import _householder, cross_operator, uhlmann_isometry
 
 from oracles import uhlmann_fidelity, uhlmann_polar
 
@@ -79,6 +79,18 @@ class TestCrossOperator:
         nu = random_pure_state(SystemLayout.of(("A", 2), ("C", 2)), SeededStream(76))
         with pytest.raises(LayoutError):
             cross_operator(mu, nu, ["A"])
+
+
+def _check_householder_completion(head, count):
+    """Columns k .. k+count-1 of Q = I - Y T Y^H are orthonormal, orthogonal to head, and Q[:, :k] R = head."""
+    d, k = head.shape
+    y, t, r = _householder(head)
+    lead = np.eye(d, k) - y @ (t @ y[:k].conj().T)
+    tail = -(y @ (t @ y[k : k + count].conj().T))
+    tail[k : k + count] += np.eye(count)
+    np.testing.assert_allclose(tail.conj().T @ tail, np.eye(count), atol=1e-10)
+    np.testing.assert_allclose(head.conj().T @ tail, 0.0, atol=1e-10)
+    np.testing.assert_allclose(lead @ r, head, atol=1e-10)
 
 
 class TestUhlmannIsometry:
@@ -161,25 +173,32 @@ class TestUhlmannIsometry:
         d, k, count = 20_000, 16, 200
         head = np.linalg.qr(rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k)))[0]
         t0 = time.perf_counter()
-        tail = _complete_columns(head, count)
+        _check_householder_completion(head, count)
         elapsed = time.perf_counter() - t0
-        full = np.hstack([head, tail])
-        np.testing.assert_allclose(full.conj().T @ full, np.eye(k + count), atol=1e-10)
         assert elapsed < 30.0, f"completion took {elapsed:.1f} s"
 
     @pytest.mark.parametrize("d,k", [(4, 2), (512, 256)])
     def test_completion_of_paired_columns(self, d, k):
-        # Columns (e_2i + e_2i+1)/sqrt 2 give every row the same mass, so the
-        # least-mass rows include whole pairs, which are dependent once span(h)
-        # is projected out: the pivoted row choice has to take over.
+        # Columns (e_2i + e_2i+1)/sqrt 2 give every row the same mass, so no
+        # choice of standard-basis rows is favoured; the reflectors must
+        # complete them all the same.
         head = np.zeros((d, k), dtype=complex)
         head[2 * np.arange(k), np.arange(k)] = head[2 * np.arange(k) + 1, np.arange(k)] = 0.5**0.5
         t0 = time.perf_counter()
-        tail = _complete_columns(head, d - k)
+        _check_householder_completion(head, d - k)
         elapsed = time.perf_counter() - t0
-        full = np.hstack([head, tail])
-        np.testing.assert_allclose(full.conj().T @ full, np.eye(d), atol=1e-10)
         assert elapsed < 30.0, f"completion took {elapsed:.1f} s"
+
+    def test_completion_with_zero_reflectors(self):
+        # Columns already in R form (zero below the real diagonal) give
+        # tau = 0 reflectors, which the T recursion must carry through.
+        head = np.zeros((6, 3), dtype=complex)
+        head[np.arange(3), np.arange(3)] = [1.0, 0.5, 2.0]
+        head[0, 1:] = [0.3 + 0.1j, -0.2j]
+        head[4, 2] = 1.0  # one reflector that does act
+        tau = np.linalg.qr(head, mode="raw")[1]
+        assert np.count_nonzero(tau == 0) == 2
+        _check_householder_completion(head, 3)
 
     def test_multi_label_shared_systems(self):
         lay_mu = SystemLayout.of(("A1", 2), ("A2", 2), ("B", 3))
