@@ -71,6 +71,6 @@ from .sampling import (
     random_density,
     random_pure_state,
 )
-from .uhlmann import UhlmannResult, cross_operator, uhlmann_isometry
+from .uhlmann import FactoredIsometry, UhlmannResult, cross_operator, uhlmann_isometry
 
 __version__ = "0.1.0"

@@ -26,24 +26,19 @@ from .decoupling import (
     find_simultaneous_unitary,
     haar_average_check,
 )
-from .iid import (
-    DegenerateProjectionError,
-    GuardExceededError,
-    InfeasibleAllocationError,
-    TypicalSpec,
-    DEFAULT_GUARD,
-    check_guard,
-    iid_experiment,
-)
+from .iid import DegenerateProjectionError, InfeasibleAllocationError, TypicalSpec, iid_experiment
 from .metrics import ROLES, marginal_entropy, resource_rates, role_groups
 from .presets import PRESET_NAMES, PRESET_ROLES, preset_state
 from .protocol import build_plan, run_forward, run_reverse
 from .qstate import (
+    DEFAULT_GUARD,
+    GuardExceededError,
     InvariantViolation,
     LayoutError,
     PureState,
     STATE_FORMAT_VERSION,
     SystemLayout,
+    check_guard,
     state_from_json,
     state_to_json,
 )
@@ -250,13 +245,6 @@ def cmd_protocol(args: argparse.Namespace) -> int:
     stream = SeededStream(args.seed)
     state, default_roles, digest = _load_state(args.state, stream.derive(0))
     roles = _resolve_roles(state, default_roles, args.roles)
-    d_c, d_a, d_b, d_r = (state.layout.dim_of_set(g) for g in role_groups(state.layout.labels, roles).values())
-    p.check_total(d_c)
-    # The largest arrays: the two pair states, the residuals' reduced states, the dense W and V.
-    check_guard("the largest protocol array", max(
-        max(p.d1, p.d2) ** 2 * state.layout.total_dim, (p.d2 * d_b * d_r) ** 2, (p.d1 * d_a * d_r) ** 2,
-        (d_c * d_a) ** 2, (d_c * d_b) ** 2,
-    ))
     t_plan = time.perf_counter()
     plan = build_plan(state, roles, p, search_budget=args.search_budget, stream=stream.derive(1))
     t_run = time.perf_counter()

@@ -125,8 +125,11 @@ def _residuals(
     rotated = (us @ vec.reshape(d_c, -1)).reshape((len(us), p.d1, p.d2, p.d3, *dims[1:]))
     rows = [1 + axis] + [3 + a for a in side]
     m = np.moveaxis(rotated, rows, range(1, len(rows) + 1)).reshape(len(us), d_kept * len(s), -1)
+    # The target first and the difference in place: two Gram-sized arrays at a time, not four.
     target = np.kron(np.eye(d_kept) / d_kept, s @ s.conj().T)
-    return np.abs(np.linalg.eigvalsh(m @ m.conj().transpose(0, 2, 1) - target)).sum(axis=1)
+    gram = m @ m.conj().transpose(0, 2, 1)
+    gram -= target
+    return np.abs(np.linalg.eigvalsh(gram)).sum(axis=1)
 
 
 def _residuals_of(first: tuple, second: tuple, p: CutPartition) -> Callable:

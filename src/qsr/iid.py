@@ -30,24 +30,24 @@ from .protocol import (
     IDENTITY_ROLES,
     ProtocolPlan,
     ProtocolReport,
-    build_plan,
+    _assemble,
+    _plan_entries,
     canonicalize,
     run_forward,
 )
 from .qstate import (
+    DEFAULT_GUARD,
     DensityOperator,
+    GuardExceededError,
     LayoutError,
     PureState,
     SystemLayout,
+    check_guard,
     permute_unchecked,
     vector_apply,
     vector_partial_trace,
 )
 from .sampling import SeededStream
-
-
-class GuardExceededError(RuntimeError):
-    """The requested tensor power would exceed the materialization guard."""
 
 
 class InfeasibleAllocationError(RuntimeError):
@@ -58,14 +58,7 @@ class DegenerateProjectionError(RuntimeError):
     """A typical projection annihilated the state."""
 
 
-DEFAULT_GUARD = 2**20  # max array entries the driver and the CLI will materialize
 _MAX_AXES = 64  # numpy's limit on array axes; phi^(x)n takes one per subsystem copy
-
-
-def check_guard(what: str, entries: int, guard: int = DEFAULT_GUARD) -> None:
-    """Refuse, before any allocation, an array of more than ``guard`` entries."""
-    if entries > guard:
-        raise GuardExceededError(f"{what} needs {entries} entries, above the guard of {guard}")
 
 
 @dataclass(frozen=True)
@@ -366,8 +359,10 @@ def iid_experiment(
     Builds the tensor power, measures the typical projector on the C copies
     (failure branch dropped, success probability reported), constructs the
     two projected reference states, allocates the cut, embeds, and runs the
-    protocol forward.  Refuses with a size report when the tensor power would
-    exceed ``guard`` vector entries or numpy's limit on array axes.
+    protocol forward.  Refuses with a size report, before allocating, when
+    the tensor power or the protocol's largest array (predicted from the
+    single-copy spectra) would exceed ``guard`` entries, or when the tensor
+    power would exceed numpy's limit on array axes.
     """
     canon = canonicalize(phi, roles)
     check_guard(f"phi^(x){spec.n}", canon.layout.total_dim ** spec.n, guard)
@@ -389,33 +384,31 @@ def iid_experiment(
         vecs, _, mask = basis(*group)
         return _project(layout, vec, group, n, vecs, mask)
 
+    # The cut and the protocol's largest array follow from single-copy
+    # spectra, so both are settled before phi^(x)n exists.
+    c_vecs, stats, c_mask = basis("C")
+    allocation = allocate_partition(stats.rank, rates, spec)
+    p = allocation.partition
+    check_guard("the protocol's largest array", _plan_entries((p.total, *(d**n for d in canon.dims[1:])), p), guard)
+
+    def embed(vec: np.ndarray) -> PureState:
+        return _embed_typical_c(layout, vec, n, c_vecs, c_mask, p.total)
+
     # One C projection serves all three states: omega is its normalization,
-    # hat and check continue from it (A then BR, B then AR).
+    # hat and check continue from it (A then BR, B then AR).  Each is dropped
+    # once embedded.
     psi = tensor_power(canon, n)
     layout = psi.layout
-    c_vecs, stats, c_mask = basis("C")
     projected = _project(layout, psi.amplitudes, ("C",), n, c_vecs, c_mask)
     del psi
-    hat, _ = _normalized(project(project(projected, "A"), "B", "R"))
-    check, _ = _normalized(project(project(projected, "B"), "A", "R"))
+    hat = embed(_normalized(project(project(projected, "A"), "B", "R"))[0])
+    check = embed(_normalized(project(project(projected, "B"), "A", "R"))[0])
     omega, p_success = _normalized(projected)
     del projected
+    omega = embed(omega)
 
-    allocation = allocate_partition(stats.rank, rates, spec)
-    total = allocation.d1 * allocation.d2 * allocation.d3
-    omega_e, hat_e, check_e = (
-        _embed_typical_c(layout, v, n, c_vecs, c_mask, total) for v in (omega, hat, check)
-    )
-
-    plan = build_plan(
-        omega_e,
-        IDENTITY_ROLES,
-        allocation.partition,
-        refs=(hat_e, check_e),
-        search_budget=search_budget,
-        stream=stream.derive(1),
-    )
-    report = run_forward(omega_e, plan)
+    plan = _assemble(omega, hat, check, IDENTITY_ROLES, p, search_budget, stream.derive(1))
+    report = run_forward(omega, plan)
 
     tail = 4.0 * (2.0 * 2.0 ** (-n * (2.0 * allocation.eta_slack + 3.0 * spec.t * spec.delta))) ** 0.25
     return IidExperimentReport(

@@ -71,7 +71,7 @@ def pure_trace_distance(u: np.ndarray, v: np.ndarray) -> float:
         return float(np.linalg.norm(v) ** 2)
     e1 = u / nu
     c = np.vdot(e1, v)
-    w = v - c * e1
+    w = np.subtract(v, c * e1, out=e1)  # e1 is not needed again: reuse its buffer
     nw = np.linalg.norm(w)
     if nw < 1e-15:
         # Collinear: difference is rank one.

@@ -30,7 +30,7 @@ gamma1 + gamma2 + 2 sqrt(eps1) + 2 sqrt(eps2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -42,7 +42,8 @@ from .qstate import (
     LinearMap,
     PureState,
     SystemLayout,
-    apply_unchecked,
+    _matricize,
+    check_guard,
     maximally_entangled,
     merge_subsystems,
     permute,
@@ -50,10 +51,10 @@ from .qstate import (
     split_subsystem,
 )
 from .sampling import SeededStream, as_generator
-from .uhlmann import UhlmannResult, uhlmann_isometry
+from .uhlmann import FactoredIsometry, UhlmannResult, _align as _uhlmann_align
 
 def canonicalize(phi: PureState, roles: Mapping[str, str]) -> PureState:
-    """Merge role groups into the canonical four-subsystem layout C, A, B, R."""
+    """Merge role groups into the canonical four-subsystem layout C, A, B, R (``phi`` itself if it is)."""
     groups = role_groups(phi.layout.labels, roles)
     ordered = [lab for role in ROLES for lab in groups[role]]
     layout, vec = permute_unchecked(phi.layout, phi.amplitudes, ordered)
@@ -61,7 +62,10 @@ def canonicalize(phi: PureState, roles: Mapping[str, str]) -> PureState:
     # role (e.g. swapping the A and B assignments).
     for role in ROLES:
         layout = merge_subsystems(layout, groups[role], f"role:{role}")
-    return PureState(layout.renamed({f"role:{role}": role for role in ROLES}), vec)
+    layout = layout.renamed({f"role:{role}": role for role in ROLES})
+    if layout == phi.layout and ordered == list(phi.layout.labels):
+        return phi
+    return PureState(layout, vec)
 
 
 IDENTITY_ROLES = {r: r for r in ROLES}
@@ -141,11 +145,33 @@ def _pair_state(half: _Half, ref: PureState, p: CutPartition) -> PureState:
     return PureState(layout, np.kron(pair.amplitudes, ref.amplitudes))
 
 
-def _align(half: _Half, ref: PureState, u: LinearMap, p: CutPartition) -> UhlmannResult:
-    """The isometry taking U.ref (C split) to the half's pair state, with ``half.shared`` fixed."""
-    layout, vec = apply_unchecked(u, ref.layout, ref.amplitudes, ("C",))
-    mu = PureState(split_subsystem(layout, "C", tuple(_cut(p).items())), vec)
-    return uhlmann_isometry(mu, _pair_state(half, ref, p), half.shared)
+def _align(half: _Half, ref: PureState, u: np.ndarray, p: CutPartition, eps: float) -> UhlmannResult:
+    """The isometry taking U.ref (C split) to the half's pair state, with ``half.shared`` fixed.
+
+    M (U.ref) and N (the pair state) are matricized on the shared systems
+    straight from ``ref``; the half's residual ``eps`` is ||M M^H - N N^H||_1.
+    """
+    mu_layout = split_subsystem(ref.layout, "C", tuple(_cut(p).items()))
+    d = _cut(p)[half.kept]
+    nu_layout = SystemLayout.of((half.kept, d), (half.partner, d)).concat(ref.layout.renamed(half.renames))
+    m = _matricize(u @ ref.amplitudes.reshape(p.total, -1), mu_layout.dims, mu_layout.axes(half.shared))
+    side = ref.layout.axes(half.shared[1:])
+    n = np.kron(np.eye(d, dtype=complex) / np.sqrt(d), _matricize(ref.amplitudes, ref.dims, side))
+    iso, overlap, distance = _uhlmann_align(
+        m, n, *(lay.restrict(set(lay.labels) - set(half.shared)) for lay in (mu_layout, nu_layout))
+    )
+    return UhlmannResult(iso, overlap, eps, distance)
+
+
+def _plan_entries(dims: Sequence[int], p: CutPartition) -> int:
+    """Entries of the largest array of a plan and its runs, from the canonical (C, A, B, R) dims.
+
+    A pair state (which bounds each dense isometry and each factor Y), a
+    residual's Gram matrix, or an isometry's factor Z.
+    """
+    d_c, d_a, d_b, d_r = dims
+    pair_state, gram_enc, gram_dec = max(p.d1, p.d2) ** 2 * d_c * d_a * d_b * d_r, p.d2 * d_b * d_r, p.d1 * d_a * d_r
+    return max(pair_state, gram_enc**2, gram_dec**2, (p.d1 * p.d3 * d_a) ** 2, (p.d2 * p.d3 * d_b) ** 2)
 
 
 def eta_bounds(refs: ReferencePair, p: CutPartition) -> tuple[float, float]:
@@ -164,8 +190,8 @@ class ProtocolPlan:
 
     partition: CutPartition
     unitary: LinearMap
-    encoder: LinearMap  # W: C1 C3 A -> A2 C'' A''
-    decoder: LinearMap  # V: C2 C3 B -> B1 C' B'
+    encoder: FactoredIsometry  # W: C1 C3 A -> A2 C'' A''
+    decoder: FactoredIsometry  # V: C2 C3 B -> B1 C' B'
     eta1: float
     eta2: float
     delta1: float
@@ -230,16 +256,24 @@ def build_plan(
     ``refs`` are (hat, check) reference states on phi's layout; omitted refs
     default to phi itself (gamma = 0).  The unitary search is deterministic
     given ``stream``; non-acceptance within ``search_budget`` is recorded, not
-    fatal, since the constructions only need the measured residuals.
+    fatal, since the constructions only need the measured residuals.  A plan
+    whose largest array would exceed the size guard is refused before
+    anything is built.
     """
+    dims = [phi.layout.dim_of_set(g) for g in role_groups(phi.layout.labels, roles).values()]
+    p.check_total(dims[0])
+    check_guard("the protocol's largest array", _plan_entries(dims, p))
     canon = canonicalize(phi, roles)
-    if refs is None:
-        hat = check = canon
-    else:
-        hat, check = (canonicalize(ref, roles) for ref in refs)
+    hat, check = (canon, canon) if refs is None else (canonicalize(ref, roles) for ref in refs)
+    return _assemble(canon, hat, check, roles, p, search_budget, stream)
+
+
+def _assemble(
+    canon: PureState, hat: PureState, check: PureState, roles: Mapping[str, str], p: CutPartition,
+    search_budget: int, stream: "SeededStream | np.random.Generator | None",
+) -> ProtocolPlan:
+    """:func:`build_plan` on canonical states, after the caller's size check."""
     pair = ReferencePair.for_state(canon, hat, check)
-    d_c = canon.layout.dim_of("C")
-    p.check_total(d_c)
     if stream is None:
         stream = SeededStream(0)
     rng = as_generator(stream)
@@ -247,17 +281,17 @@ def build_plan(
     # alpha bounds the decoder's condition on check, beta the encoder's on hat.
     first, second = _condition(_DECODER, check), _condition(_ENCODER, hat)
     alpha, beta = _bound(*first, p), _bound(*second, p)
-    u_mat, res, iters = search_unitary(d_c, _residuals_of(first, second, p), alpha, beta, search_budget, rng)
-    c_layout = SystemLayout.of(("C", d_c))
-    u_map = LinearMap(c_layout, c_layout, u_mat, kind="unitary")
-    w_res = _align(_ENCODER, hat, u_map, p)
-    v_res = _align(_DECODER, check, u_map, p)
-    eta1, eta2 = _eta(beta), _eta(alpha)
+    u, res, iters = search_unitary(p.total, _residuals_of(first, second, p), alpha, beta, search_budget, rng)
+    c_layout = SystemLayout.of(("C", p.total))
+    u = LinearMap(c_layout, c_layout, u, kind="unitary")
     # res.eps2 is the encoder's (keep C2) residual, res.eps1 the decoder's
     # (keep C1); eta1 bounds the former, eta2 the latter.
+    w_res = _align(_ENCODER, hat, u.matrix, p, res.eps2)
+    v_res = _align(_DECODER, check, u.matrix, p, res.eps1)
+    eta1, eta2 = _eta(beta), _eta(alpha)
     return ProtocolPlan(
         partition=p,
-        unitary=u_map,
+        unitary=u,
         encoder=w_res.isometry,
         decoder=v_res.isometry,
         eta1=eta1,
@@ -289,24 +323,24 @@ def final_state_target(plan: ProtocolPlan) -> PureState:
 
 
 def _run(
-    start: PureState, first: LinearMap, second: LinearMap, target: PureState, plan: ProtocolPlan
+    start: PureState, undo: FactoredIsometry, redo: FactoredIsometry, target: PureState, plan: ProtocolPlan
 ) -> ProtocolReport:
-    """Apply ``first`` on one side, hand C3 over, apply ``second``; compare with ``target``.
+    """Apply ``undo``'s adjoint on one side, hand C3 over, apply ``redo``; compare with ``target``.
 
-    Each map acts on its input labels.  The ledger is log2 d3 qubits sent, the
-    start's ebit pair consumed and the target's distilled; both pair states
-    list their pair first.
+    The ledger is log2 d3 qubits sent, the start's ebit pair consumed and the
+    target's distilled; both pair states list their pair first.
     """
-    layout, vec = apply_unchecked(first, start.layout, start.amplitudes, first.input_layout.labels)
+    layout, vec = undo.adjoint(start.layout, start.amplitudes)
     # C3 changes hands here; pure bookkeeping, no matrix action.
-    layout, vec = apply_unchecked(second, layout, vec, second.input_layout.labels)
-    layout, aligned = permute_unchecked(layout, vec, target.layout.labels)
-    distance = pure_trace_distance(aligned, target.amplitudes)
-    norm = float(np.linalg.norm(aligned))
+    layout, vec = redo.apply(layout, vec)
+    layout, vec = permute_unchecked(layout, vec, target.layout.labels)
+    distance = pure_trace_distance(vec, target.amplitudes)
+    norm = float(np.linalg.norm(vec))
     if not norm >= 1e-12:
         raise InvariantViolation("final state has vanished; cannot report a normalized state")
+    vec /= norm
     return ProtocolReport(
-        final_state=PureState(layout, aligned / norm),
+        final_state=PureState(layout, vec),
         distance_to_target=distance,
         analytic_bound=plan.analytic_bound,
         measured_bound=plan.measured_bound,
@@ -327,7 +361,7 @@ def run_forward(phi: PureState, plan: ProtocolPlan) -> ProtocolReport:
     if canon.layout != plan.phi.layout:
         raise LayoutError(f"state layout {canon.layout} does not match the plan's {plan.phi.layout}")
     start = _pair_state(_ENCODER, canon, plan.partition)
-    return _run(start, plan.encoder.adjoint(), plan.decoder, final_state_target(plan), plan)
+    return _run(start, plan.encoder, plan.decoder, final_state_target(plan), plan)
 
 
 def run_reverse(plan: ProtocolPlan, upsilon_final: "PureState | None" = None) -> ProtocolReport:
@@ -341,4 +375,4 @@ def run_reverse(plan: ProtocolPlan, upsilon_final: "PureState | None" = None) ->
     start = ideal if upsilon_final is None else permute(upsilon_final, ideal.layout.labels)
     if start.layout != ideal.layout:
         raise LayoutError(f"reverse input layout {start.layout} != expected {ideal.layout}")
-    return _run(start, plan.decoder.adjoint(), plan.encoder, initial_state(plan), plan)
+    return _run(start, plan.decoder, plan.encoder, initial_state(plan), plan)

@@ -7,7 +7,8 @@ Uhlmann fidelity F(mu_S, nu_S), so when the shared marginals are eps-close in
 trace distance the aligned states are within 2 sqrt(eps).  The fidelity fixes
 K only on the support of X; any isometric extension off it gives the same
 overlap and the same bound, so each construction below takes the extension
-its factorization hands it.
+its factorization hands it, and keeps K in the factors that built it
+(:class:`FactoredIsometry`); the dense matrix is an explicit, guarded export.
 """
 
 from __future__ import annotations
@@ -16,12 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_TOLS
 from .metrics import gram_trace_distance, pure_trace_distance
 from .qstate import (
     InvariantViolation,
     LayoutError,
     LinearMap,
     PureState,
+    SystemLayout,
+    check_guard,
+    map_unchecked,
     permute_unchecked,
 )
 
@@ -78,7 +83,8 @@ def _householder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     raw, tau = np.linalg.qr(a, mode="raw")
     d, k = a.shape
-    y = np.tril(raw.T, -1) + np.eye(d, k)
+    y = np.tril(raw.T, -1)
+    y[np.arange(k), np.arange(k)] = 1.0
     gram = y.conj().T @ y
     t = np.zeros((k, k), dtype=complex)
     for i in range(k):
@@ -87,11 +93,81 @@ def _householder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return y, t, np.triu(raw.T[:k])
 
 
+def _gram_rows(a: np.ndarray):
+    """Blocks (j, rows j .. j+255 of a^H a) from the real view of ``a``: no conjugated copy of ``a``."""
+    r, k = np.ascontiguousarray(a, dtype=complex).view(np.float64), a.shape[1]
+    for j in range(0, k, 256):
+        g = (r[:, 2 * j : 2 * (j + 256)].T @ r).reshape(-1, 2, k, 2)
+        yield j, g[:, 0, :, 0] + g[:, 1, :, 1] + 1j * (g[:, 0, :, 1] - g[:, 1, :, 0])
+
+
+@dataclass(frozen=True, eq=False)
+class FactoredIsometry:
+    """An isometry K from ``input_layout`` to ``output_layout``, kept as the factors that built it.
+
+    With reflectors ``y`` (d_out x r) and ``t`` (r x r), K = (I - Y T Y^H)[:, :d_in] Z
+    with a d_in x d_in unitary ``z``, and K is never formed; without them ``z``
+    is K.  Checked on construction at the factors' cost: Z^H Z = I, and
+    T + T^H = T^H (Y^H Y) T, which makes I - Y T Y^H unitary.
+    """
+
+    input_layout: SystemLayout
+    output_layout: SystemLayout
+    z: np.ndarray
+    y: "np.ndarray | None" = None
+    t: "np.ndarray | None" = None
+
+    def __post_init__(self) -> None:
+        d_in, d_out = self.input_layout.total_dim, self.output_layout.total_dim
+        r = 0 if self.t is None else len(self.t)
+        want = [(d_out, d_in)] if self.y is None else [(d_in, d_in), (d_out, r), (r, r)]
+        got = [np.shape(f) for f in (self.z, self.y, self.t)[: len(want)]]
+        if d_out < d_in or got != want:
+            raise LayoutError(f"isometry {d_in} -> {d_out} has factor shapes {got}, want {want}")
+        defects = [np.abs(g - np.eye(*g.shape, k=j)).max() for j, g in _gram_rows(self.z)]
+        if self.y is not None:
+            t, th, gram = self.t, self.t.conj().T, np.vstack([g for _, g in _gram_rows(self.y)])
+            defects.append(np.abs(t + th - th @ gram @ t).max())
+        if not np.max(defects) <= DEFAULT_TOLS.invariant:
+            raise InvariantViolation(f"isometry defect {np.max(defects)} exceeds {DEFAULT_TOLS.invariant}")
+
+    def apply(self, layout: SystemLayout, vec: np.ndarray) -> tuple[SystemLayout, np.ndarray]:
+        """K on the input subsystems of a raw (layout, vector) pair."""
+        return map_unchecked(layout, vec, self.input_layout, self.output_layout, self._right)
+
+    def adjoint(self, layout: SystemLayout, vec: np.ndarray) -> tuple[SystemLayout, np.ndarray]:
+        """K^H on the output subsystems of a raw pair; mass off K's range is dropped, not renormalized."""
+        return map_unchecked(layout, vec, self.output_layout, self.input_layout, self._right_adjoint)
+
+    def to_linear_map(self) -> LinearMap:
+        """K as a dense, validated LinearMap; refused above the size guard."""
+        d_in = self.input_layout.total_dim
+        check_guard("the dense isometry", self.output_layout.total_dim * d_in)
+        k = self.z if self.y is None else self._right(np.eye(d_in)).T
+        return LinearMap(self.input_layout, self.output_layout, k, kind="isometry")
+
+    def _right(self, x: np.ndarray) -> np.ndarray:
+        """x K^T, for rows of ``x`` over the input."""
+        if self.y is None:
+            return (self.z @ x.T).T  # the orientation dense alignments always used: distance_out keeps its bits
+        a = x @ self.z.T
+        out = -(((a @ self.y[: a.shape[1]].conj()) @ self.t.T) @ self.y.T)
+        out[:, : a.shape[1]] += a
+        return out
+
+    def _right_adjoint(self, x: np.ndarray) -> np.ndarray:
+        """x conj(K) = (K^H x^T)^T, for rows of ``x`` over the output."""
+        if self.y is None:
+            return x @ self.z.conj()
+        d_in = len(self.z)
+        return (x[:, :d_in] - ((x @ self.y.conj()) @ self.t.conj()) @ self.y[:d_in].T) @ self.z.conj()
+
+
 @dataclass(frozen=True)
 class UhlmannResult:
     """Constructed isometry plus the overlap/distance bookkeeping of one alignment."""
 
-    isometry: LinearMap
+    isometry: "LinearMap | FactoredIsometry"
     achieved_overlap: float
     epsilon_in: float
     distance_out: float
@@ -106,6 +182,30 @@ class UhlmannResult:
             )
 
 
+def _align(
+    m: np.ndarray, n: np.ndarray, source: SystemLayout, dest: SystemLayout
+) -> tuple[FactoredIsometry, float, float]:
+    """The isometry aligning M (d_S x d_B) onto N (d_S x d_C), its overlap and its distance_out.
+
+    Rows index the shared systems in one basis, columns ``source`` and ``dest``.
+    """
+    d_s, d_b = m.shape
+    if d_s >= d_b:
+        u, s, vh = np.linalg.svd(n.conj().T @ m, full_matrices=False)
+        k = u @ vh
+        del u, vh
+        iso = FactoredIsometry(source, dest, np.conj(k, out=k))
+    else:
+        y_n, t_n, r_n = _householder(n.T)
+        y_m, t_m, r_m = _householder(m.T)
+        uz, s, vzh = np.linalg.svd(r_n @ r_m.conj().T)
+        z = np.eye(d_b, dtype=complex)
+        z[:d_s, :d_s] = uz @ vzh
+        z -= (z @ y_m) @ (t_m.conj().T @ y_m.conj().T)
+        iso = FactoredIsometry(source, dest, z, y_n, t_n)
+    return iso, float(s.sum()), pure_trace_distance(iso._right(m), n)
+
+
 def uhlmann_isometry(
     mu: PureState, nu: PureState, shared: "list[str] | tuple[str, ...]"
 ) -> UhlmannResult:
@@ -117,30 +217,9 @@ def uhlmann_isometry(
     N^T = Q_N R_N and M^T = Q_M R_M, reduces it to the d_S x d_S core
     R_N R_M^H = Uz S Vz^H, and K = Q_N[:, :d_B] diag(Uz Vz^H, I) Q_M^H, at cost
     O(d_C d_S d_B + d_S d_B^2).  The achieved overlap <nu|(I (x) K)|mu> = sum S
-    is real nonnegative (the Uhlmann fidelity of the shared marginals).
+    is real nonnegative (the Uhlmann fidelity of the shared marginals).  K is
+    returned dense (:meth:`FactoredIsometry.to_linear_map`, size-guarded).
     """
     m, n, mu_own, nu_own = _shared_first(mu, nu, shared)
-    d_s, d_b = m.shape
-    if d_s >= d_b:
-        u, s, vh = np.linalg.svd(n.conj().T @ m, full_matrices=False)
-        k = u.conj() @ vh.conj()
-    else:
-        y_n, t_n, r_n = _householder(n.T)
-        y_m, t_m, r_m = _householder(m.T)
-        uz, s, vzh = np.linalg.svd(r_n @ r_m.conj().T)
-        # Z = diag(Uz Vz^H, I) Q_M^H is d_B x d_B; Q_N[:, :d_B] Z is Z in the
-        # first d_B rows minus Y_N T_N Y_N[:d_B]^H Z, so Q_N is never formed.
-        z = np.eye(d_b, dtype=complex)
-        z[:d_s, :d_s] = uz @ vzh
-        z -= (z @ y_m) @ (t_m.conj().T @ y_m.conj().T)
-        k = -(y_n @ (t_n @ (y_n[:d_b].conj().T @ z)))
-        k[:d_b] += z
-    k_map = LinearMap(
-        mu.layout.restrict(mu_own), nu.layout.restrict(nu_own), k, kind="isometry"
-    )
-    return UhlmannResult(
-        isometry=k_map,
-        achieved_overlap=float(s.sum()),
-        epsilon_in=gram_trace_distance(m, n),
-        distance_out=pure_trace_distance((k @ m.T).T, n),
-    )
+    iso, overlap, distance = _align(m, n, mu.layout.restrict(mu_own), nu.layout.restrict(nu_own))
+    return UhlmannResult(iso.to_linear_map(), overlap, gram_trace_distance(m, n), distance)

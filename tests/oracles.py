@@ -136,26 +136,58 @@ def _matricize(tensor: np.ndarray, rows: tuple[int, ...]) -> np.ndarray:
     return tensor.transpose(list(rows) + cols).reshape(d_rows, -1)
 
 
+def shared_first_factors(
+    hat: np.ndarray, check: np.ndarray, u: np.ndarray, cut: tuple[int, int, int]
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """(M, N) of the encoder and of the decoder alignment, rows over the shared systems.
+
+    ``hat`` and ``check`` are (C, A, B, R) amplitude tensors and ``u`` the
+    unitary on C = C1 C2 C3 with dims ``cut``.  The encoder aligns U.hat with
+    Phi_{C2 A2} (x) hat on C2 B R, the decoder U.check with Phi_{C1 B1} (x)
+    check on C1 A R.
+    """
+    d1, d2, d3 = cut
+
+    def rotated(ref: np.ndarray) -> np.ndarray:  # axes (C1, C2, C3, A, B, R)
+        return np.tensordot(u, ref, axes=(1, 0)).reshape(d1, d2, d3, *ref.shape[1:])
+
+    def pair(d: int, ref: np.ndarray) -> np.ndarray:  # axes (kept, partner, C, A, B, R)
+        return np.multiply.outer(np.eye(d) / np.sqrt(d), ref)
+
+    return (
+        (_matricize(rotated(hat), (1, 4, 5)), _matricize(pair(d2, hat), (0, 4, 5))),
+        (_matricize(rotated(check), (0, 3, 5)), _matricize(pair(d1, check), (0, 3, 5))),
+    )
+
+
 def protocol_isometries(
     phi: np.ndarray, u: np.ndarray, cut: tuple[int, int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encoder W (C1 C3 A -> A2 C'' A'') and decoder V (C2 C3 B -> B1 C' B') as dense polar factors.
 
     ``phi`` is the (C, A, B, R) amplitude tensor serving as both references
-    and ``u`` the unitary on C = C1 C2 C3 with dims ``cut``.  Each half aligns
-    U.phi with Phi_{kept partner} (x) phi on the shared systems (C2 B R for
-    W, C1 A R for V).
+    (see :func:`shared_first_factors`).
+    """
+    (m_w, n_w), (m_v, n_v) = shared_first_factors(phi, phi, u, cut)
+    return polar_isometry(m_w, n_w), polar_isometry(m_v, n_v)
+
+
+def decoupling_residuals(
+    vec: np.ndarray, dims: tuple[int, ...], side: tuple[int, ...], keep: int,
+    cut: tuple[int, int, int], us: np.ndarray,
+) -> np.ndarray:
+    """The decoupling residual kernel's expression before it subtracted in place, for equality checks.
+
+    ``keep`` is the kept factor's axis in (C1, C2, C3); for each U of the
+    stack, one eigvalsh of M M^H - pi_kept (x) the side marginal.
     """
     d1, d2, d3 = cut
-    _, d_a, d_b, d_r = phi.shape
-    rotated = np.tensordot(u, phi, axes=(1, 0)).reshape(d1, d2, d3, d_a, d_b, d_r)
-
-    def pair(d: int) -> np.ndarray:  # axes (kept, partner, C, A, B, R)
-        return np.multiply.outer(np.eye(d) / np.sqrt(d), phi)
-
-    w = polar_isometry(_matricize(rotated, (1, 4, 5)), _matricize(pair(d2), (0, 4, 5)))
-    v = polar_isometry(_matricize(rotated, (0, 3, 5)), _matricize(pair(d1), (0, 3, 5)))
-    return w, v
+    d_kept, s = cut[keep], _matricize(vec.reshape(dims), side)
+    rotated = (us @ vec.reshape(dims[0], -1)).reshape((len(us), d1, d2, d3, *dims[1:]))
+    rows = [1 + keep] + [3 + a for a in side]
+    m = np.moveaxis(rotated, rows, range(1, len(rows) + 1)).reshape(len(us), d_kept * len(s), -1)
+    target = np.kron(np.eye(d_kept) / d_kept, s @ s.conj().T)
+    return np.abs(np.linalg.eigvalsh(m @ m.conj().transpose(0, 2, 1) - target)).sum(axis=1)
 
 
 def uhlmann_polar(m: np.ndarray, n: np.ndarray) -> tuple[float, float, float]:

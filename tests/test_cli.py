@@ -174,6 +174,13 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "axes" in err and "Traceback" not in err
 
+    def test_protocol_preflight_refusal_is_two(self, capsys):
+        # phi^(x)7 has 16384 entries, but the encoder's pair state would have
+        # 2^24: refused from the single-copy spectra, before phi^(x)7 exists.
+        code, out, err = run_cli(capsys, "iid", "--state", "bell-CA", "--n", "7", "--delta", "0.05")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "guard" in err and "Traceback" not in err
+
     def test_infeasible_allocation_is_two(self, capsys):
         code, _, err = run_cli(capsys, "iid", "--state", "tilted-CR", "--n", "3",
                                "--delta", "0.4", "--seed", "1")

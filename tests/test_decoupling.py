@@ -18,6 +18,7 @@ from qsr.decoupling import (
     residual_stack,
     single_bound,
 )
+from qsr.decoupling import _residuals
 from qsr.metrics import hermitian_trace_distance
 from qsr.qstate import (
     LayoutError,
@@ -28,7 +29,9 @@ from qsr.qstate import (
 )
 from qsr.sampling import SeededStream, haar_unitary_batch, haar_unitary_matrix, random_density
 
-from oracles import loop_partial_trace
+from qsr.presets import preset_state
+
+from oracles import decoupling_residuals, loop_partial_trace
 
 
 def _rank2(d_c, d_side, tag, label="F"):
@@ -159,6 +162,26 @@ class TestResidualStack:
     def test_stack_shape_must_match(self):
         with pytest.raises(LayoutError):
             residual_stack(_rank2(8, 2, 15), np.eye(4)[None], CutPartition(2, 2, 2), KEEP_C1)
+
+
+class TestResidualKernel:
+    @pytest.mark.parametrize("keep", [KEEP_C1, KEEP_C2])
+    @pytest.mark.parametrize("case", ["random", "ghz"])
+    def test_equals_the_subtract_then_eigvalsh_expression(self, case, keep):
+        # The kernel subtracts its target in place.  That must leave every
+        # residual bit-identical, also on structured states, where eps is
+        # rounding noise that the measured bound amplifies by 2 sqrt(.).
+        if case == "random":
+            dims, side, cut = (8, 2, 3, 4), (1, 2), (2, 2, 2)
+            rng = SeededStream(68).generator()
+            vec = rng.standard_normal(192) + 1j * rng.standard_normal(192)
+        else:
+            ghz = preset_state("ghz-CBR")
+            vec, dims, side, cut = ghz.amplitudes, ghz.dims, (2, 3), (1, 2, 1) if keep == KEEP_C2 else (2, 1, 1)
+        us = haar_unitary_batch(5, dims[0], SeededStream(69).generator())
+        got = _residuals(vec, dims, side, keep, CutPartition(*cut), us)
+        want = decoupling_residuals(vec, dims, side, 0 if keep == KEEP_C1 else 1, cut, us)
+        assert np.array_equal(got, want)
 
 
 class TestHaarAverage:

@@ -1,6 +1,7 @@
 """Typical subspaces, dimension allocation, and the tensor-power driver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +258,23 @@ class TestExperimentDriver:
         assert rep.protocol.distance_to_target <= rep.protocol.measured_bound
         if preset.startswith("bell-"):
             assert rep.protocol.distance_to_target <= 1e-6
+
+    @pytest.mark.parametrize("preset,n", [("bell-CA", 5), ("ghz-CBR", 4)])
+    def test_traced_peak_is_a_small_multiple_of_the_largest_vector(self, preset, n):
+        # The isometries stay factored and no state is copied needlessly, so
+        # the peak follows the largest state or pair-state vector (bell-CA
+        # n = 5: 65536 entries, where a dense 8192 x 128 encoder once took
+        # the peak past 50 MB).
+        phi = preset_state(preset)
+        tracemalloc.start()
+        try:
+            rep = iid_experiment(phi, PRESET_ROLES, TypicalSpec(n=n, delta=0.05), SeededStream(134))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        p = rep.plan.partition
+        largest = 16 * max(phi.layout.total_dim**n, max(p.d1, p.d2) ** 2 * rep.plan.phi.layout.total_dim)
+        assert peak <= 16 * largest, (peak, largest)
 
     def test_bell_cr_rate_approaches_one(self):
         rep = iid_experiment(preset_state("bell-CR"), PRESET_ROLES,

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 from qsr.decoupling import KEEP_C1, KEEP_C2, CutPartition, decoupling_bound, residual, single_bound
-from qsr.metrics import pure_trace_distance
+from qsr.metrics import gram_trace_distance, pure_trace_distance
 from qsr.presets import PRESET_ROLES, preset_state
 from qsr.protocol import (
     ReferencePair,
@@ -25,8 +25,9 @@ from qsr.qstate import (
     tensor,
 )
 from qsr.sampling import SeededStream, random_pure_state
+from qsr.uhlmann import FactoredIsometry
 
-from oracles import loop_partial_trace, protocol_isometries
+from oracles import loop_partial_trace, protocol_isometries, shared_first_factors
 
 RANDOM_LAYOUT = SystemLayout.of(("C", 4), ("A", 2), ("B", 2), ("R", 2))
 ALL_PARTITIONS_OF_4 = [(1, 1, 4), (1, 2, 2), (1, 4, 1), (2, 1, 2), (2, 2, 1), (4, 1, 1)]
@@ -348,10 +349,28 @@ class TestIsometryExtension:
                 w, v = protocol_isometries(phi.amplitudes.reshape(phi.dims), plan.unitary.matrix, cut)
                 dense = dataclasses.replace(
                     plan,
-                    encoder=LinearMap(plan.encoder.input_layout, plan.encoder.output_layout, w, "isometry"),
-                    decoder=LinearMap(plan.decoder.input_layout, plan.decoder.output_layout, v, "isometry"),
+                    encoder=FactoredIsometry(plan.encoder.input_layout, plan.encoder.output_layout, w),
+                    decoder=FactoredIsometry(plan.decoder.input_layout, plan.decoder.output_layout, v),
                 )
                 for run in (lambda q: run_forward(phi, q), run_reverse):
                     got, want = run(dense), run(plan)
                     assert abs(got.distance_to_target - want.distance_to_target) <= 1e-12
                     assert abs(got.final_norm - want.final_norm) <= 1e-12
+
+
+class TestOneEpsPerHalf:
+    def test_alignment_eps_is_the_measured_residual(self):
+        # Each half's decoupling residual is its alignment's eps_in, so the
+        # plan hands the one number over.  The Gram-factor distance of the
+        # shared-first factors, built here from raw tensors, must give it too.
+        for tag in range(3):
+            phi, hat, check = (canonicalize(_random_phi(310 + 3 * tag + k), PRESET_ROLES) for k in range(3))
+            for cut in ALL_PARTITIONS_OF_4:
+                plan = build_plan(phi, PRESET_ROLES, CutPartition(*cut), refs=(hat, check),
+                                  stream=SeededStream(311).derive(tag))
+                assert plan.encoder_alignment.epsilon_in == plan.measured_eps1
+                assert plan.decoder_alignment.epsilon_in == plan.measured_eps2
+                refs = (ref.amplitudes.reshape(ref.dims) for ref in (hat, check))
+                factors = shared_first_factors(*refs, plan.unitary.matrix, cut)
+                for (m, n), eps in zip(factors, (plan.measured_eps1, plan.measured_eps2)):
+                    assert abs(gram_trace_distance(m, n) - eps) <= 1e-12

@@ -5,19 +5,27 @@ import time
 import numpy as np
 import pytest
 
+from qsr.decoupling import CutPartition
+from qsr.iid import TypicalSpec, iid_experiment
+from qsr.presets import PRESET_ROLES, preset_state
+from qsr.protocol import build_plan
 from qsr.qstate import (
+    DEFAULT_GUARD,
+    GuardExceededError,
+    InvariantViolation,
     LayoutError,
     LinearMap,
     PureState,
     SystemLayout,
     apply,
+    apply_unchecked,
     basis_state,
     maximally_entangled,
     permute,
     vector_partial_trace,
 )
 from qsr.sampling import SeededStream, haar_unitary_matrix, random_pure_state
-from qsr.uhlmann import _householder, cross_operator, uhlmann_isometry
+from qsr.uhlmann import FactoredIsometry, _align, _householder, cross_operator, uhlmann_isometry
 
 from oracles import uhlmann_fidelity, uhlmann_polar
 
@@ -264,3 +272,65 @@ class TestFactoredAlignment:
         assert abs(res.achieved_overlap - overlap) < 1e-12
         assert abs(res.epsilon_in - eps_in) < 1e-12
         assert abs(res.distance_out - distance) < 1e-12
+
+
+def _assert_matches_dense(iso, rng):
+    """apply and adjoint of ``iso`` against its dense export, on subsystems reordered among spectators."""
+    dense = iso.to_linear_map()
+    adjoint = LinearMap(iso.output_layout, iso.input_layout, dense.matrix.conj().T)
+    for src, act, mat in ((iso.input_layout, iso.apply, dense), (iso.output_layout, iso.adjoint, adjoint)):
+        subsystems = list(reversed(src.subsystems))
+        subsystems.insert(1, ("Y", 2))
+        layout = SystemLayout((("X", 3), *subsystems))
+        vec = rng.standard_normal(layout.total_dim) + 1j * rng.standard_normal(layout.total_dim)
+        got_layout, got = act(layout, vec)
+        want_layout, want = apply_unchecked(mat, layout, vec, src.labels)
+        assert got_layout == want_layout
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+class TestFactoredIsometry:
+    def test_apply_and_adjoint_match_the_dense_export(self):
+        # Random d_C = 4 states over all six cuts, and the i.i.d. presets whose
+        # targets are widest at n = 5; both branches must occur.
+        rng = SeededStream(87).generator()
+        isos = []
+        layout = SystemLayout.of(("C", 4), ("A", 2), ("B", 2), ("R", 2))
+        for tag in range(2):
+            phi = random_pure_state(layout, SeededStream(88).derive(tag))
+            for cut in [(1, 1, 4), (1, 2, 2), (1, 4, 1), (2, 1, 2), (2, 2, 1), (4, 1, 1)]:
+                plan = build_plan(phi, PRESET_ROLES, CutPartition(*cut), stream=SeededStream(89).derive(tag))
+                isos += [plan.encoder, plan.decoder]
+        for preset in ("bell-CA", "bell-CB", "ghz-CBR"):
+            rep = iid_experiment(preset_state(preset), PRESET_ROLES, TypicalSpec(n=5, delta=0.05), SeededStream(90))
+            isos += [rep.plan.encoder, rep.plan.decoder]
+        assert {iso.y is None for iso in isos} == {True, False}
+        for iso in isos:
+            _assert_matches_dense(iso, rng)
+
+    def test_perturbed_factors_are_refused(self):
+        mu, nu = _wide_random(3, 2, 8, 16)  # d_S = 2 < d_B = 8: the reflector branch
+        iso, _, _ = _align(mu.amplitudes.reshape(2, 8), nu.amplitudes.reshape(2, 16),
+                           mu.layout.restrict(["B"]), nu.layout.restrict(["C"]))
+        assert iso.y is not None
+        def nudged(a):
+            a = a.copy()
+            a[0, 0] += 1e-3
+            return a
+
+        factors, dense = {"z": iso.z, "y": iso.y, "t": iso.t}, {"z": iso.to_linear_map().matrix}
+        for good in (factors, dense):
+            FactoredIsometry(iso.input_layout, iso.output_layout, **good)
+        for bad in ({**factors, "z": nudged(iso.z)}, {**factors, "t": nudged(iso.t)}, {"z": nudged(dense["z"])}):
+            with pytest.raises(InvariantViolation):
+                FactoredIsometry(iso.input_layout, iso.output_layout, **bad)
+
+    def test_dense_export_is_refused_above_the_guard(self):
+        # bell-CA n = 6 runs with its 65536 x 256 encoder kept factored; only
+        # the dense export would exceed the guard.
+        rep = iid_experiment(preset_state("bell-CA"), PRESET_ROLES, TypicalSpec(n=6, delta=0.05), SeededStream(91))
+        enc = rep.plan.encoder
+        assert enc.output_layout.total_dim * enc.input_layout.total_dim > DEFAULT_GUARD
+        with pytest.raises(GuardExceededError):
+            enc.to_linear_map()
+        assert rep.protocol.distance_to_target <= 1e-6
