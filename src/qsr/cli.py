@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .decoupling import (
+    DEFAULT_SEARCH_ITERS,
     KEEP_C1,
     KEEP_C2,
     MIN_HAAR_SAMPLES,
@@ -397,7 +398,7 @@ def _build_parser() -> _Parser:
     pd.add_argument("--omega", default="random", help="pi or random")
     pd.add_argument("--psi", default="random", help="pi or random")
     pd.add_argument("--rank", type=int, default=2, help="rank of random operands")
-    pd.add_argument("--search-budget", type=_int_at_least(1), default=64)
+    pd.add_argument("--search-budget", type=_int_at_least(1), default=DEFAULT_SEARCH_ITERS)
     pd.set_defaults(func=cmd_decouple)
 
     pp = sub.add_parser("protocol", help="assemble and run the one-shot redistribution")
@@ -406,7 +407,7 @@ def _build_parser() -> _Parser:
     pp.add_argument("--partition", required=True, help="d1,d2,d3")
     pp.add_argument("--seed", type=int, default=0)
     pp.add_argument("--reverse", action="store_true", help="run the reverse redistribution")
-    pp.add_argument("--search-budget", type=_int_at_least(1), default=64)
+    pp.add_argument("--search-budget", type=_int_at_least(1), default=DEFAULT_SEARCH_ITERS)
     pp.set_defaults(func=cmd_protocol)
 
     pi = sub.add_parser("iid", help="tensor-power experiment with typical projections")

@@ -11,8 +11,9 @@ below exploits exactly that.
 
 This is the only module that evaluates a decoupling condition: one kernel for
 the residual and one for the bound, both on a pure vector with C on axis 0.
-The protocol passes its reference states; the density-operator API below
-(what ``qsr decouple`` runs) purifies its operand once per call.
+The protocol passes its reference states, and its alignments take the
+residual's factors M and S; the density-operator API below (what ``qsr
+decouple`` runs) purifies its operand once per call.
 """
 
 from __future__ import annotations
@@ -108,23 +109,28 @@ def _bound(vec: np.ndarray, dims: tuple[int, ...], side: Sequence[int], keep: st
     return decoupling_bound(dims[0], d_side, marginal_purity(vec, dims, (0, *side)), traced)
 
 
-def _residuals(
+def _factors(
     vec: np.ndarray, dims: tuple[int, ...], side: Sequence[int], keep: str, p: CutPartition, us: np.ndarray
-) -> np.ndarray:
-    """The residual of pure ``vec`` (C on axis 0, ``side`` kept whole) for each U of a (k, d_C, d_C) stack.
-
-    U rotates axis 0 and M is the result matricized on (kept factor, side); the
-    residual is || M M^H - pi_kept (x) vec's side marginal ||_1, by one batched ``eigvalsh``.
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """M (k, d_kept d_side, rest), each U.vec on (kept factor, side), and S (d_side, rest), ``vec`` on the side."""
     d_c = dims[0]
     p.check_total(d_c)
     if us.ndim != 3 or us.shape[1:] != (d_c, d_c):
         raise LayoutError(f"unitary stack shape {us.shape} does not match d_C = {d_c}")
     axis = _keep_index(keep)
-    d_kept, s = (p.d1, p.d2)[axis], _matricize(vec, dims, side)
+    s = _matricize(vec, dims, side)
     rotated = (us @ vec.reshape(d_c, -1)).reshape((len(us), p.d1, p.d2, p.d3, *dims[1:]))
     rows = [1 + axis] + [3 + a for a in side]
-    m = np.moveaxis(rotated, rows, range(1, len(rows) + 1)).reshape(len(us), d_kept * len(s), -1)
+    m = np.moveaxis(rotated, rows, range(1, len(rows) + 1)).reshape(len(us), (p.d1, p.d2)[axis] * len(s), -1)
+    return m, s
+
+
+def _residuals(
+    vec: np.ndarray, dims: tuple[int, ...], side: Sequence[int], keep: str, p: CutPartition, us: np.ndarray
+) -> np.ndarray:
+    """|| M M^H - pi_kept (x) S S^H ||_1 (M, S of :func:`_factors`) for each U, by one batched ``eigvalsh``."""
+    m, s = _factors(vec, dims, side, keep, p, us)
+    d_kept = (p.d1, p.d2)[_keep_index(keep)]
     # The target first and the difference in place: two Gram-sized arrays at a time, not four.
     target = np.kron(np.eye(d_kept) / d_kept, s @ s.conj().T)
     gram = m @ m.conj().transpose(0, 2, 1)

@@ -18,13 +18,14 @@ the one-shot protocol on the result.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .decoupling import CutPartition
+from .decoupling import DEFAULT_SEARCH_ITERS, CutPartition
 from .metrics import ROLES, ResourceRates, entropy_bits, resource_rates
 from .protocol import (
     IDENTITY_ROLES,
@@ -91,12 +92,9 @@ def _log2_spectrum(eigenvalues: np.ndarray) -> np.ndarray:
 
 
 def _compositions(n: int, parts: int):
-    if parts == 1:
-        yield (n,)
-        return
-    for k in range(n + 1):
-        for rest in _compositions(n - k, parts - 1):
-            yield (k,) + rest
+    """Count vectors of ``parts`` entries >= 0 summing to ``n`` in lexicographic order, by stars and bars."""
+    for bars in itertools.combinations(range(n + parts - 1), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, n + parts - 1)))
 
 
 @dataclass(frozen=True)
@@ -352,7 +350,7 @@ def iid_experiment(
     spec: TypicalSpec,
     stream: "SeededStream | None" = None,
     guard: int = DEFAULT_GUARD,
-    search_budget: int = 64,
+    search_budget: int = DEFAULT_SEARCH_ITERS,
 ) -> IidExperimentReport:
     """Redistribute the C part of phi^(x)n through the one-shot protocol.
 

@@ -1,24 +1,23 @@
 """One-shot redistribution of the C register of a shared pure state.
 
 Given phi on C A B R (Alice holds A C, Bob holds B, R purifies), a cut
-C = C1 C2 C3, and a pair of reference states, the plan assembles
+C = C1 C2 C3 and two reference states, the plan assembles
 
-* a unitary U on C that simultaneously decouples C2 from B R in the first
-  reference (tracing C1 C3) and C1 from A R in the second (tracing C2 C3);
-  both conditions, residuals and bounds, are evaluated by the kernels of
-  qsr.decoupling on the pure references, the same ones ``qsr decouple`` runs,
-* an encoder isometry  W: C1 C3 A -> A2 C'' A''  aligning U applied to the
-  first reference with Phi_{C2 A2} (x) reference, shared systems C2 B R,
-* a decoder isometry   V: C2 C3 B -> B1 C' B'   aligning U applied to the
-  second reference with Phi_{C1 B1} (x) reference, shared systems C1 A R.
+* a unitary U on C that decouples C2 from B R in the first reference and C1
+  from A R in the second, both conditions evaluated by the kernels of
+  qsr.decoupling (the ones ``qsr decouple`` runs),
+* an encoder W: C1 C3 A -> A2 C'' A'' aligning U.hat with Phi_{C2 A2} (x) hat
+  on the shared systems C2 B R, and a decoder V: C2 C3 B -> B1 C' B'
+  aligning U.check with Phi_{C1 B1} (x) check on C1 A R.
 
-The forward run starts from Phi_{C2 A2} (x) phi, applies the adjoint of W on
-Alice's side, hands C3 to Bob, applies V, and compares with
-Phi_{C1 B1} (x) phi.  Resources: log2 d3 qubits sent, log2 d2 ebits consumed,
-log2 d1 ebits distilled.  The reverse run mirrors everything.  U itself never
-appears in the executed circuit: both isometries are built relative to the
-same U, so it cancels between W's adjoint and V; that cancellation is what
-makes this three-step circuit sufficient.
+Each half is two label tuples, its shared systems and its pair state's order;
+layouts, run permutations and the size preflight are derived from them.  The
+forward run takes Phi_{C2 A2} (x) phi through four steps on shared-first
+matrices: W's adjoint, one axis swap that hands C3 to Bob, V, and one
+transpose to the order of Phi_{C1 B1} (x) phi.  It sends log2 d3 qubits,
+consumes log2 d2 ebits and distills log2 d1; the reverse run mirrors it.  U
+never appears in the circuit: both isometries are built relative to it, so it
+cancels between W's adjoint and V.
 
 Error accounting is honest: components of the input outside W's range are
 dropped by the adjoint without renormalization, so the reported trace
@@ -29,12 +28,13 @@ gamma1 + gamma2 + 2 sqrt(eps1) + 2 sqrt(eps2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .decoupling import CutPartition, _bound, _residuals_of, search_unitary
+from .decoupling import DEFAULT_SEARCH_ITERS, CutPartition, _bound, _factors, _residuals_of, search_unitary
 from .metrics import ROLES, pure_trace_distance, role_groups
 from .qstate import (
     InvariantViolation,
@@ -42,13 +42,10 @@ from .qstate import (
     LinearMap,
     PureState,
     SystemLayout,
-    _matricize,
     check_guard,
-    maximally_entangled,
     merge_subsystems,
     permute,
     permute_unchecked,
-    split_subsystem,
 )
 from .sampling import SeededStream, as_generator
 from .uhlmann import FactoredIsometry, UhlmannResult, _align as _uhlmann_align
@@ -104,74 +101,95 @@ class ReferencePair:
 
 @dataclass(frozen=True)
 class _Half:
-    """One half of the protocol, named by its systems.
+    """One half of the protocol as two label tuples.
 
-    ``kept`` is the factor of C = C1 C2 C3 that U must decouple and
-    ``partner`` its ebit partner; ``renames`` primes the reference systems
-    that the half's isometry outputs; ``shared`` are the systems the
-    isometry leaves alone: the kept factor first, then the side it must
-    decouple from.
+    ``shared``: the kept factor of C, then the side U decouples it from; ``layout``: the order of the
+    half's pair state.  Its isometry maps ``own`` (the rest of the C-split reference) to ``out``.
     """
 
-    kept: str
-    partner: str
-    renames: Mapping[str, str]
     shared: tuple[str, ...]
+    layout: tuple[str, ...]
+
+    @property
+    def own(self) -> tuple[str, ...]:
+        return tuple(lab for lab in ("C1", "C2", "C3", "A", "B", "R") if lab not in self.shared)
+
+    @property
+    def out(self) -> tuple[str, ...]:
+        return tuple(lab for lab in self.layout if lab not in self.shared)
 
 
 # The encoder W is built from the hat reference, the decoder V from the check
 # reference; each half is the time reverse of the other.
-_ENCODER = _Half("C2", "A2", {"C": "Cpp", "A": "App"}, ("C2", "B", "R"))
-_DECODER = _Half("C1", "B1", {"C": "Cp", "B": "Bp"}, ("C1", "A", "R"))
+_ENCODER = _Half(("C2", "B", "R"), ("C2", "A2", "Cpp", "App", "B", "R"))
+_DECODER = _Half(("C1", "A", "R"), ("C1", "B1", "Cp", "A", "Bp", "R"))
 
 
-def _cut(p: CutPartition) -> dict[str, int]:
-    return {"C1": p.d1, "C2": p.d2, "C3": p.d3}
+def _order(labels: Sequence[str], source: Sequence[str]) -> tuple[int, ...]:
+    return tuple(source.index(lab) for lab in labels)
+
+
+# A run's three permutations: pair-state order to shared-first (the shared
+# systems, then the isometry's output) and back, and the C3 handover between
+# the halves' shared-first inputs, the same in both directions.
+_TO_SHARED_FIRST = {h: _order(h.shared + h.out, h.layout) for h in (_ENCODER, _DECODER)}
+_TO_LAYOUT = {h: _order(h.layout, h.shared + h.out) for h in (_ENCODER, _DECODER)}
+_HANDOVER = _order(_DECODER.shared + _DECODER.own, _ENCODER.shared + _ENCODER.own)
+assert _HANDOVER == _order(_ENCODER.shared + _ENCODER.own, _DECODER.shared + _DECODER.own)
+
+
+def _sizes(dims: Sequence[int], p: CutPartition) -> dict[str, int]:
+    """Every label of a plan and its runs with its dimension, from the canonical (C, A, B, R) dims."""
+    d_c, d_a, d_b, d_r = dims
+    return {"C1": p.d1, "C2": p.d2, "C3": p.d3, "A": d_a, "B": d_b, "R": d_r,
+            "A2": p.d2, "Cpp": d_c, "App": d_a, "B1": p.d1, "Cp": d_c, "Bp": d_b}
+
+
+def _layout(labels: Sequence[str], sizes: Mapping[str, int]) -> SystemLayout:
+    return SystemLayout(tuple((lab, sizes[lab]) for lab in labels))
 
 
 def _condition(half: _Half, ref: PureState) -> tuple:
     """The half's decoupling condition on canonical ``ref`` as an operand of the qsr.decoupling kernels."""
-    return ref.amplitudes, ref.dims, ref.layout.axes(half.shared[1:]), half.kept
+    return ref.amplitudes, ref.dims, _order(half.shared[1:], ROLES), half.shared[0]
 
 
 def _eta(bound: float) -> float:
     return 2.0 * (2.0 * bound) ** 0.25
 
 
-def _pair_state(half: _Half, ref: PureState, p: CutPartition) -> PureState:
-    """Phi_{kept partner} (x) ref, with ref's systems renamed by ``half.renames``."""
-    pair = maximally_entangled(_cut(p)[half.kept], (half.kept, half.partner))
-    layout = pair.layout.concat(ref.layout.renamed(half.renames))
-    return PureState(layout, np.kron(pair.amplitudes, ref.amplitudes))
+def _pair_state(half: _Half, ref: PureState, sizes: Mapping[str, int]) -> PureState:
+    """Phi_{kept partner} (x) ref, over ``half.layout``."""
+    d = sizes[half.shared[0]]
+    pair = np.eye(d, dtype=complex).reshape(-1) * (1.0 / np.sqrt(d))
+    return PureState(_layout(half.layout, sizes), np.kron(pair, ref.amplitudes))
 
 
 def _align(half: _Half, ref: PureState, u: np.ndarray, p: CutPartition, eps: float) -> UhlmannResult:
     """The isometry taking U.ref (C split) to the half's pair state, with ``half.shared`` fixed.
 
-    M (U.ref) and N (the pair state) are matricized on the shared systems
-    straight from ``ref``; the half's residual ``eps`` is ||M M^H - N N^H||_1.
+    M (U.ref) is the decoupling kernel's, and N = I/sqrt(d_kept) (x) S, where
+    S is ``ref`` on the side; the half's residual ``eps`` is ||M M^H - N N^H||_1.
     """
-    mu_layout = split_subsystem(ref.layout, "C", tuple(_cut(p).items()))
-    d = _cut(p)[half.kept]
-    nu_layout = SystemLayout.of((half.kept, d), (half.partner, d)).concat(ref.layout.renamed(half.renames))
-    m = _matricize(u @ ref.amplitudes.reshape(p.total, -1), mu_layout.dims, mu_layout.axes(half.shared))
-    side = ref.layout.axes(half.shared[1:])
-    n = np.kron(np.eye(d, dtype=complex) / np.sqrt(d), _matricize(ref.amplitudes, ref.dims, side))
-    iso, overlap, distance = _uhlmann_align(
-        m, n, *(lay.restrict(set(lay.labels) - set(half.shared)) for lay in (mu_layout, nu_layout))
-    )
+    m, s = _factors(*_condition(half, ref), p, u[None])
+    sizes = _sizes(ref.dims, p)
+    d = sizes[half.shared[0]]
+    n = np.kron(np.eye(d, dtype=complex) / np.sqrt(d), s)
+    iso, overlap, distance = _uhlmann_align(m[0], n, _layout(half.own, sizes), _layout(half.out, sizes))
     return UhlmannResult(iso, overlap, eps, distance)
 
 
 def _plan_entries(dims: Sequence[int], p: CutPartition) -> int:
     """Entries of the largest array of a plan and its runs, from the canonical (C, A, B, R) dims.
 
-    A pair state (which bounds each dense isometry and each factor Y), a
-    residual's Gram matrix, or an isometry's factor Z.
+    Over both halves: the pair state (which bounds a dense isometry and its factor Y), the residual's
+    Gram matrix (shared size squared) and the isometry's factor Z (own size squared).
     """
-    d_c, d_a, d_b, d_r = dims
-    pair_state, gram_enc, gram_dec = max(p.d1, p.d2) ** 2 * d_c * d_a * d_b * d_r, p.d2 * d_b * d_r, p.d1 * d_a * d_r
-    return max(pair_state, gram_enc**2, gram_dec**2, (p.d1 * p.d3 * d_a) ** 2, (p.d2 * p.d3 * d_b) ** 2)
+    sizes = _sizes(dims, p)
+    return max(
+        math.prod(sizes[lab] for lab in labels) ** power
+        for h in (_ENCODER, _DECODER) for labels, power in ((h.layout, 1), (h.shared, 2), (h.own, 2))
+    )
 
 
 def eta_bounds(refs: ReferencePair, p: CutPartition) -> tuple[float, float]:
@@ -248,7 +266,7 @@ def build_plan(
     roles: Mapping[str, str],
     p: CutPartition,
     refs: "tuple[PureState, PureState] | None" = None,
-    search_budget: int = 64,
+    search_budget: int = DEFAULT_SEARCH_ITERS,
     stream: "SeededStream | np.random.Generator | None" = None,
 ) -> ProtocolPlan:
     """Assemble U, W, V for redistributing the C role of ``phi``.
@@ -314,39 +332,44 @@ def _assemble(
 
 def initial_state(plan: ProtocolPlan) -> PureState:
     """Phi_{C2 A2} (x) phi with Alice holding A2 C'' A'' and Bob C2 B."""
-    return _pair_state(_ENCODER, plan.phi, plan.partition)
+    return _pair_state(_ENCODER, plan.phi, _sizes(plan.phi.dims, plan.partition))
 
 
 def final_state_target(plan: ProtocolPlan) -> PureState:
     """Phi_{C1 B1} (x) phi with Alice holding C1 A and Bob B1 C' B'."""
-    return _pair_state(_DECODER, plan.phi, plan.partition)
+    return _pair_state(_DECODER, plan.phi, _sizes(plan.phi.dims, plan.partition))
 
 
 def _run(
-    start: PureState, undo: FactoredIsometry, redo: FactoredIsometry, target: PureState, plan: ProtocolPlan
+    start: PureState, target: PureState, undo: _Half, redo: _Half, plan: ProtocolPlan, sizes: Mapping[str, int]
 ) -> ProtocolReport:
-    """Apply ``undo``'s adjoint on one side, hand C3 over, apply ``redo``; compare with ``target``.
+    """Undo one half's isometry on ``start``, hand C3 over, apply the other half's; compare with ``target``.
 
-    The ledger is log2 d3 qubits sent, the start's ebit pair consumed and the
-    target's distilled; both pair states list their pair first.
+    The ledger is log2 d3 qubits sent, the start's ebit pair consumed and the target's distilled.
     """
-    layout, vec = undo.adjoint(start.layout, start.amplitudes)
-    # C3 changes hands here; pure bookkeeping, no matrix action.
-    layout, vec = redo.apply(layout, vec)
-    layout, vec = permute_unchecked(layout, vec, target.layout.labels)
+    undo_iso, redo_iso = (plan.encoder if h is _ENCODER else plan.decoder for h in (undo, redo))
+
+    def dims(labels: tuple[str, ...]) -> list[int]:
+        return [sizes[lab] for lab in labels]
+
+    vec = start.amplitudes.reshape(dims(undo.layout)).transpose(_TO_SHARED_FIRST[undo])
+    vec = undo_iso.adjoint(vec.reshape(math.prod(dims(undo.shared)), -1))
+    vec = vec.reshape(dims(undo.shared + undo.own)).transpose(_HANDOVER)
+    vec = redo_iso.apply(vec.reshape(math.prod(dims(redo.shared)), -1))
+    vec = vec.reshape(dims(redo.shared + redo.out)).transpose(_TO_LAYOUT[redo]).reshape(-1)
     distance = pure_trace_distance(vec, target.amplitudes)
     norm = float(np.linalg.norm(vec))
     if not norm >= 1e-12:
         raise InvariantViolation("final state has vanished; cannot report a normalized state")
     vec /= norm
     return ProtocolReport(
-        final_state=PureState(layout, vec),
+        final_state=PureState(target.layout, vec),
         distance_to_target=distance,
         analytic_bound=plan.analytic_bound,
         measured_bound=plan.measured_bound,
         qubits_sent=np.log2(plan.partition.d3),
-        ebits_consumed=np.log2(start.layout.dims[0]),
-        ebits_distilled=np.log2(target.layout.dims[0]),
+        ebits_consumed=np.log2(sizes[undo.shared[0]]),
+        ebits_distilled=np.log2(sizes[redo.shared[0]]),
         final_norm=norm,
     )
 
@@ -360,8 +383,9 @@ def run_forward(phi: PureState, plan: ProtocolPlan) -> ProtocolReport:
     canon = phi if phi.layout == plan.phi.layout else canonicalize(phi, plan.roles)
     if canon.layout != plan.phi.layout:
         raise LayoutError(f"state layout {canon.layout} does not match the plan's {plan.phi.layout}")
-    start = _pair_state(_ENCODER, canon, plan.partition)
-    return _run(start, plan.encoder, plan.decoder, final_state_target(plan), plan)
+    sizes = _sizes(plan.phi.dims, plan.partition)
+    start, target = _pair_state(_ENCODER, canon, sizes), _pair_state(_DECODER, plan.phi, sizes)
+    return _run(start, target, _ENCODER, _DECODER, plan, sizes)
 
 
 def run_reverse(plan: ProtocolPlan, upsilon_final: "PureState | None" = None) -> ProtocolReport:
@@ -375,4 +399,5 @@ def run_reverse(plan: ProtocolPlan, upsilon_final: "PureState | None" = None) ->
     start = ideal if upsilon_final is None else permute(upsilon_final, ideal.layout.labels)
     if start.layout != ideal.layout:
         raise LayoutError(f"reverse input layout {start.layout} != expected {ideal.layout}")
-    return _run(start, plan.decoder, plan.encoder, initial_state(plan), plan)
+    sizes = _sizes(plan.phi.dims, plan.partition)
+    return _run(start, _pair_state(_ENCODER, plan.phi, sizes), _DECODER, _ENCODER, plan, sizes)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -354,19 +354,14 @@ def partial_trace(state, keep: Iterable[str]) -> DensityOperator:
 
 
 def apply_layout(layout: SystemLayout, m: LinearMap, targets: Sequence[str]) -> SystemLayout:
-    """Layout after applying ``m`` to ``targets`` (validates the bookkeeping)."""
-    return _replaced(layout, targets, m.input_layout.dims, m.output_layout.subsystems)
-
-
-def _replaced(layout: SystemLayout, targets: Sequence[str], in_dims: tuple, out_subsystems: tuple) -> SystemLayout:
-    """``layout`` with ``targets`` (of dims ``in_dims``) replaced by ``out_subsystems`` at the earliest target."""
+    """Layout after applying ``m`` to ``targets``: they are replaced by its output at the earliest target."""
     targets = list(targets)
     if not targets:
         raise LayoutError("apply needs at least one target subsystem")
     got = tuple(layout.dim_of(t) for t in targets)
-    if got != in_dims:
-        raise LayoutError(f"target dims {got} do not match map input dims {in_dims}")
-    out_labels = [lab for lab, _ in out_subsystems]
+    if got != m.input_layout.dims:
+        raise LayoutError(f"target dims {got} do not match map input dims {m.input_layout.dims}")
+    out_labels = m.output_layout.labels
     survivors = [lab for lab in layout.labels if lab not in set(targets)]
     conflict = set(out_labels) & set(survivors)
     if conflict:
@@ -375,7 +370,7 @@ def _replaced(layout: SystemLayout, targets: Sequence[str], in_dims: tuple, out_
     insert_at = min(axes)
     new_subsystems = (
         tuple((lab, layout.dim_of(lab)) for lab in survivors[:insert_at])
-        + out_subsystems
+        + m.output_layout.subsystems
         + tuple((lab, layout.dim_of(lab)) for lab in survivors[insert_at:])
     )
     return SystemLayout(new_subsystems)
@@ -393,25 +388,6 @@ def apply_unchecked(
     new_layout = apply_layout(layout, m, targets)
     out, _ = vector_apply(vec, layout.dims, layout.axes(targets), m.matrix, m.output_layout.dims)
     return new_layout, out
-
-
-def map_unchecked(
-    layout: SystemLayout, vec: np.ndarray, source: SystemLayout, dest: SystemLayout, act: Callable
-) -> tuple[SystemLayout, np.ndarray]:
-    """Replace ``source``'s subsystems of a raw vector by ``dest``'s, placed as :func:`apply` places them.
-
-    ``act`` is the map on the vector as a matrix with ``source`` on the
-    columns (rows over the other subsystems); nothing is normalized.
-    """
-    new_layout, dims = _replaced(layout, source.labels, source.dims, dest.subsystems), layout.dims
-    axes = list(layout.axes(source.labels))
-    rest = [i for i in range(len(dims)) if i not in axes]
-    x = np.transpose(np.asarray(vec).reshape(dims), rest + axes).reshape(-1, source.total_dim)
-    out = act(x).reshape(tuple(dims[i] for i in rest) + dest.dims)
-    # The row axes before the earliest source axis stay in front of the output block.
-    lead, n_rest = min(axes), len(rest)
-    perm = [*range(lead), *range(n_rest, n_rest + len(dest.dims)), *range(lead, n_rest)]
-    return new_layout, np.transpose(out, perm).reshape(-1)
 
 
 def permute_unchecked(

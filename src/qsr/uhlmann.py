@@ -26,7 +26,6 @@ from .qstate import (
     PureState,
     SystemLayout,
     check_guard,
-    map_unchecked,
     permute_unchecked,
 )
 
@@ -131,23 +130,15 @@ class FactoredIsometry:
         if not np.max(defects) <= DEFAULT_TOLS.invariant:
             raise InvariantViolation(f"isometry defect {np.max(defects)} exceeds {DEFAULT_TOLS.invariant}")
 
-    def apply(self, layout: SystemLayout, vec: np.ndarray) -> tuple[SystemLayout, np.ndarray]:
-        """K on the input subsystems of a raw (layout, vector) pair."""
-        return map_unchecked(layout, vec, self.input_layout, self.output_layout, self._right)
-
-    def adjoint(self, layout: SystemLayout, vec: np.ndarray) -> tuple[SystemLayout, np.ndarray]:
-        """K^H on the output subsystems of a raw pair; mass off K's range is dropped, not renormalized."""
-        return map_unchecked(layout, vec, self.output_layout, self.input_layout, self._right_adjoint)
-
     def to_linear_map(self) -> LinearMap:
         """K as a dense, validated LinearMap; refused above the size guard."""
         d_in = self.input_layout.total_dim
         check_guard("the dense isometry", self.output_layout.total_dim * d_in)
-        k = self.z if self.y is None else self._right(np.eye(d_in)).T
+        k = self.z if self.y is None else self.apply(np.eye(d_in)).T
         return LinearMap(self.input_layout, self.output_layout, k, kind="isometry")
 
-    def _right(self, x: np.ndarray) -> np.ndarray:
-        """x K^T, for rows of ``x`` over the input."""
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """x K^T: K on each row of ``x``, a matrix whose columns run over the input."""
         if self.y is None:
             return (self.z @ x.T).T  # the orientation dense alignments always used: distance_out keeps its bits
         a = x @ self.z.T
@@ -155,8 +146,8 @@ class FactoredIsometry:
         out[:, : a.shape[1]] += a
         return out
 
-    def _right_adjoint(self, x: np.ndarray) -> np.ndarray:
-        """x conj(K) = (K^H x^T)^T, for rows of ``x`` over the output."""
+    def adjoint(self, x: np.ndarray) -> np.ndarray:
+        """x conj(K) = (K^H x^T)^T: K^H on each row of ``x`` (columns over the output), no renormalization."""
         if self.y is None:
             return x @ self.z.conj()
         d_in = len(self.z)
@@ -203,7 +194,7 @@ def _align(
         z[:d_s, :d_s] = uz @ vzh
         z -= (z @ y_m) @ (t_m.conj().T @ y_m.conj().T)
         iso = FactoredIsometry(source, dest, z, y_n, t_n)
-    return iso, float(s.sum()), pure_trace_distance(iso._right(m), n)
+    return iso, float(s.sum()), pure_trace_distance(iso.apply(m), n)
 
 
 def uhlmann_isometry(

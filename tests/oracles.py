@@ -204,3 +204,50 @@ def uhlmann_polar(m: np.ndarray, n: np.ndarray) -> tuple[float, float, float]:
     eps_in = np.abs(np.linalg.eigvalsh(m @ m.conj().T - n @ n.conj().T)).sum()
     diff = np.outer(moved, moved.conj()) - np.outer(target, target.conj())
     return float(s.sum()), float(eps_in), float(np.abs(np.linalg.eigvalsh(diff)).sum())
+
+
+def protocol_run(
+    start: np.ndarray, labels: tuple[str, ...], dims: dict[str, int],
+    undo: tuple[np.ndarray, tuple[str, ...], tuple[str, ...]],
+    redo: tuple[np.ndarray, tuple[str, ...], tuple[str, ...]],
+    target_labels: tuple[str, ...],
+) -> np.ndarray:
+    """The unnormalized final vector of a protocol run, flat over ``target_labels``.
+
+    ``start`` is flat over ``labels``, with every label's dimension in
+    ``dims``.  ``undo`` and ``redo`` are dense isometries K (d_out x d_in)
+    with their input and output labels.  The adjoint of ``undo`` replaces its
+    output labels by its input labels, then ``redo`` replaces its input
+    labels by its output labels; C3 changes hands by its name alone.  Each
+    step is one ``einsum`` over named indices.
+    """
+    letters: dict[str, str] = {}
+
+    def sub(labs) -> str:
+        return "".join(letters.setdefault(lab, chr(ord("a") + len(letters))) for lab in labs)
+
+    def tensor(k: np.ndarray, rows: tuple[str, ...], cols: tuple[str, ...]) -> np.ndarray:
+        return k.reshape([dims[lab] for lab in rows + cols])
+
+    (k_undo, undo_in, undo_out), (k_redo, redo_in, redo_out) = undo, redo
+    vec = start.reshape([dims[lab] for lab in labels])
+    after = tuple(lab for lab in labels if lab not in undo_out) + undo_in
+    # (K^H)[in, out] = conj(K[out, in]): contract K's output indices with the state's.
+    vec = np.einsum(f"{sub(undo_out)}{sub(undo_in)},{sub(labels)}->{sub(after)}",
+                    tensor(k_undo.conj(), undo_out, undo_in), vec)
+    vec = np.einsum(f"{sub(redo_out)}{sub(redo_in)},{sub(after)}->{sub(target_labels)}",
+                    tensor(k_redo, redo_out, redo_in), vec)
+    return vec.reshape(-1)
+
+
+def pure_pair_distance(v: np.ndarray, t: np.ndarray) -> float:
+    """|| |v><v| - |t><t| ||_1 for unnormalized v and t, from a 2 x 2 operator.
+
+    The QR factorization [t v] = Q R gives coordinates of t and v in an
+    orthonormal basis of their span (the columns of R), where the difference
+    of outer products is a 2 x 2 matrix.  Householder QR keeps the component
+    of v orthogonal to t accurate when the two nearly coincide.
+    """
+    r = np.linalg.qr(np.stack([t, v], axis=1), mode="r")
+    op = np.outer(r[:, 1], r[:, 1].conj()) - np.outer(r[:, 0], r[:, 0].conj())
+    return float(np.abs(np.linalg.eigvalsh(op)).sum())

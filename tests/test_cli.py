@@ -230,6 +230,13 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "guard" in err and "Traceback" not in err
 
+    def test_thousand_level_register_runs(self, capsys, tmp_path):
+        # A 1000-level C copy has 1000 eigenvalues to enumerate types over.
+        state = tmp_path / "wide.json"
+        assert main(["sample-state", "--dims", "C=1000,A=1,B=1,R=1", "--seed", "1", "--out", str(state)]) == 0
+        res = run_json(capsys, "iid", "--state", str(state), "--n", "1")["results"]
+        assert res["distance_to_target"] <= min(2.0, res["measured_bound"]) + 1e-8
+
     def test_missing_subcommand_is_usage(self, capsys):
         assert run_cli(capsys, )[0] == 1
 

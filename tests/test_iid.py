@@ -38,6 +38,13 @@ class TestTypicalStats:
             stats = typical_stats(np.array([0.5, 0.5]), TypicalSpec(n=n, delta=0.05))
             assert stats.rank == 2**n and abs(stats.weight - 1.0) < 1e-12
 
+    def test_thousand_level_group_is_enumerated(self):
+        # One type per level at n = 1: the type enumeration must not take a
+        # stack frame per eigenvalue.
+        stats = typical_stats(np.full(1000, 1e-3), TypicalSpec(n=1, delta=0.1))
+        assert stats.rank == 1000 and abs(stats.weight - 1.0) < 1e-12
+        assert stats.typical_types[0] == (0,) * 999 + (1,) and stats.typical_types[-1] == (1,) + (0,) * 999
+
     def test_skewed_spectrum_at_n50(self):
         # Admissible counts of the 0.1 eigenvalue at delta = 0.1 are k in {4, 5, 6}.
         stats = typical_stats(np.array([0.9, 0.1]), TypicalSpec(n=50, delta=0.1))

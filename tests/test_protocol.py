@@ -1,13 +1,16 @@
 """Plan assembly, forward/reverse runs, bounds, and the resource ledger."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 from qsr.decoupling import KEEP_C1, KEEP_C2, CutPartition, decoupling_bound, residual, single_bound
+from qsr.iid import TypicalSpec, iid_experiment
 from qsr.metrics import gram_trace_distance, pure_trace_distance
 from qsr.presets import PRESET_ROLES, preset_state
 from qsr.protocol import (
     ReferencePair,
+    _plan_entries,
     build_plan,
     canonicalize,
     eta_bounds,
@@ -27,7 +30,13 @@ from qsr.qstate import (
 from qsr.sampling import SeededStream, random_pure_state
 from qsr.uhlmann import FactoredIsometry
 
-from oracles import loop_partial_trace, protocol_isometries, shared_first_factors
+from oracles import (
+    loop_partial_trace,
+    protocol_isometries,
+    protocol_run,
+    pure_pair_distance,
+    shared_first_factors,
+)
 
 RANDOM_LAYOUT = SystemLayout.of(("C", 4), ("A", 2), ("B", 2), ("R", 2))
 ALL_PARTITIONS_OF_4 = [(1, 1, 4), (1, 2, 2), (1, 4, 1), (2, 1, 2), (2, 2, 1), (4, 1, 1)]
@@ -374,3 +383,61 @@ class TestOneEpsPerHalf:
                 factors = shared_first_factors(*refs, plan.unitary.matrix, cut)
                 for (m, n), eps in zip(factors, (plan.measured_eps1, plan.measured_eps2)):
                     assert abs(gram_trace_distance(m, n) - eps) <= 1e-12
+
+
+ENCODER_PAIR = ("C2", "A2", "Cpp", "App", "B", "R")  # Phi_{C2 A2} (x) phi, C and A primed
+DECODER_PAIR = ("C1", "B1", "Cp", "A", "Bp", "R")  # Phi_{C1 B1} (x) phi, C and B primed
+
+
+class TestRunsAgainstOracle:
+    """Both runs against named-index contractions of the dense W and V on the full start vector."""
+
+    @staticmethod
+    def _check(plan):
+        phi = plan.phi.amplitudes
+        w, v = (iso.to_linear_map() for iso in (plan.encoder, plan.decoder))
+        dims = dict(w.input_layout.subsystems + w.output_layout.subsystems + v.input_layout.subsystems
+                    + v.output_layout.subsystems + (("R", plan.phi.dims[3]),))
+        maps = {m: (m.matrix, m.input_layout.labels, m.output_layout.labels) for m in (w, v)}
+
+        def pair(labels):
+            d = dims[labels[0]]
+            return np.kron(np.eye(d).reshape(-1) / np.sqrt(d), phi)
+
+        for rep, (start, undo, redo, end) in (
+            (run_forward(plan.phi, plan), (ENCODER_PAIR, w, v, DECODER_PAIR)),
+            (run_reverse(plan), (DECODER_PAIR, v, w, ENCODER_PAIR)),
+        ):
+            final = protocol_run(pair(start), start, dims, maps[undo], maps[redo], end)
+            norm = np.linalg.norm(final)
+            assert rep.final_state.layout == SystemLayout(tuple((lab, dims[lab]) for lab in end))
+            np.testing.assert_allclose(rep.final_state.amplitudes, final / norm, rtol=0.0, atol=1e-12)
+            assert abs(rep.final_norm - norm) <= 1e-12
+            assert abs(rep.distance_to_target - pure_pair_distance(final, pair(end))) <= 1e-12
+
+    def test_random_states_with_distinct_references(self):
+        for tag in range(2):
+            phi, hat, check = (_random_phi(320 + 3 * tag + k) for k in range(3))
+            for cut in ALL_PARTITIONS_OF_4:
+                plan = build_plan(phi, PRESET_ROLES, CutPartition(*cut), refs=(hat, check),
+                                  stream=SeededStream(321).derive(tag))
+                assert plan.gamma1 > 0 and plan.gamma2 > 0 and plan.gamma1 != plan.gamma2
+                self._check(plan)
+
+    def test_householder_branch_of_an_iid_plan(self):
+        rep = iid_experiment(preset_state("bell-CA"), PRESET_ROLES, TypicalSpec(n=5, delta=0.05), SeededStream(90))
+        assert any(iso.y is not None for iso in (rep.plan.encoder, rep.plan.decoder))
+        self._check(rep.plan)
+
+
+class TestPreflight:
+    def test_plan_entries_match_the_closed_form(self):
+        # The preflight is derived from the halves' label tuples; the closed
+        # form it replaced is the oracle, so the guard decision cannot drift.
+        for d_c in range(1, 13):
+            cuts = [(d1, d2, d_c // (d1 * d2)) for d1 in range(1, d_c + 1) for d2 in range(1, d_c + 1)
+                    if d_c % (d1 * d2) == 0]
+            for (d1, d2, d3), (d_a, d_b, d_r) in itertools.product(cuts, itertools.product((1, 2, 3), repeat=3)):
+                want = max(max(d1, d2) ** 2 * d_c * d_a * d_b * d_r, (d2 * d_b * d_r) ** 2,
+                           (d1 * d_a * d_r) ** 2, (d1 * d3 * d_a) ** 2, (d2 * d3 * d_b) ** 2)
+                assert _plan_entries((d_c, d_a, d_b, d_r), CutPartition(d1, d2, d3)) == want

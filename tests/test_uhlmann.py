@@ -18,7 +18,6 @@ from qsr.qstate import (
     PureState,
     SystemLayout,
     apply,
-    apply_unchecked,
     basis_state,
     maximally_entangled,
     permute,
@@ -275,18 +274,13 @@ class TestFactoredAlignment:
 
 
 def _assert_matches_dense(iso, rng):
-    """apply and adjoint of ``iso`` against its dense export, on subsystems reordered among spectators."""
-    dense = iso.to_linear_map()
-    adjoint = LinearMap(iso.output_layout, iso.input_layout, dense.matrix.conj().T)
-    for src, act, mat in ((iso.input_layout, iso.apply, dense), (iso.output_layout, iso.adjoint, adjoint)):
-        subsystems = list(reversed(src.subsystems))
-        subsystems.insert(1, ("Y", 2))
-        layout = SystemLayout((("X", 3), *subsystems))
-        vec = rng.standard_normal(layout.total_dim) + 1j * rng.standard_normal(layout.total_dim)
-        got_layout, got = act(layout, vec)
-        want_layout, want = apply_unchecked(mat, layout, vec, src.labels)
-        assert got_layout == want_layout
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    """apply and adjoint of ``iso`` against its dense export, on random matrices of several rows."""
+    k = iso.to_linear_map().matrix
+    d_out, d_in = k.shape
+    x = rng.standard_normal((6, d_in)) + 1j * rng.standard_normal((6, d_in))
+    np.testing.assert_allclose(iso.apply(x), x @ k.T, rtol=0.0, atol=1e-12)
+    y = rng.standard_normal((6, d_out)) + 1j * rng.standard_normal((6, d_out))
+    np.testing.assert_allclose(iso.adjoint(y), y @ k.conj(), rtol=0.0, atol=1e-12)
 
 
 class TestFactoredIsometry:
