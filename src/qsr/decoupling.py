@@ -120,8 +120,9 @@ def _factors(
     axis = _keep_index(keep)
     s = _matricize(vec, dims, side)
     rotated = (us @ vec.reshape(d_c, -1)).reshape((len(us), p.d1, p.d2, p.d3, *dims[1:]))
-    rows = [1 + axis] + [3 + a for a in side]
-    m = np.moveaxis(rotated, rows, range(1, len(rows) + 1)).reshape(len(us), (p.d1, p.d2)[axis] * len(s), -1)
+    rows = (1 + axis, *(3 + a for a in side))
+    order = (0, *rows, *(a for a in range(1, rotated.ndim) if a not in rows))
+    m = rotated.transpose(order).reshape(len(us), (p.d1, p.d2)[axis] * len(s), -1)
     return m, s
 
 
@@ -130,12 +131,21 @@ def _residuals(
 ) -> np.ndarray:
     """|| M M^H - pi_kept (x) S S^H ||_1 (M, S of :func:`_factors`) for each U, by one batched ``eigvalsh``."""
     m, s = _factors(vec, dims, side, keep, p, us)
-    d_kept = (p.d1, p.d2)[_keep_index(keep)]
-    # The target first and the difference in place: two Gram-sized arrays at a time, not four.
-    target = np.kron(np.eye(d_kept) / d_kept, s @ s.conj().T)
+    return np.abs(np.linalg.eigvalsh(_difference(m, s, (p.d1, p.d2)[_keep_index(keep)]))).sum(axis=1)
+
+
+def _difference(m: np.ndarray, s: np.ndarray, d_kept: int) -> np.ndarray:
+    """M M^H - I/d_kept (x) S S^H for each M of the stack ``m``.
+
+    The target is block diagonal, so S S^H / d_kept comes off each of the Gram's d_kept diagonal
+    blocks in place: besides the Gram, only an array 1/d_kept^2 of its size is alive.
+    """
     gram = m @ m.conj().transpose(0, 2, 1)
-    gram -= target
-    return np.abs(np.linalg.eigvalsh(gram)).sum(axis=1)
+    block, w = s @ s.conj().T, len(s)
+    block *= 1.0 / d_kept
+    for i in range(0, d_kept * w, w):
+        gram[:, i : i + w, i : i + w] -= block
+    return gram
 
 
 def _residuals_of(first: tuple, second: tuple, p: CutPartition) -> Callable:

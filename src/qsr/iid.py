@@ -137,7 +137,11 @@ def typical_stats(rho: "DensityOperator | np.ndarray", spec: TypicalSpec) -> Typ
             mult = math.factorial(spec.n) // math.prod(math.factorial(c) for c in counts)
             types.append(counts)
             rank += mult
-            weight += mult * 2.0**lp
+            try:
+                weight += mult * 2.0**lp
+            except OverflowError:  # mult exceeds the float range: keep its leading 64 bits
+                shift = mult.bit_length() - 64
+                weight += (mult >> shift) * 2.0 ** (lp + shift)
     return TypicalProjector(
         base_eigenvalues=tuple(float(x) for x in eigs),
         n=spec.n,
@@ -359,14 +363,20 @@ def iid_experiment(
     two projected reference states, allocates the cut, embeds, and runs the
     protocol forward.  Refuses with a size report, before allocating, when
     the tensor power or the protocol's largest array (predicted from the
-    single-copy spectra) would exceed ``guard`` entries, or when the tensor
-    power would exceed numpy's limit on array axes.
+    single-copy spectra) would exceed ``guard`` entries, when a projected
+    group's type enumeration would (``typical_stats`` walks comb(n + d - 1,
+    d - 1) count vectors of d entries), or when the tensor power would
+    exceed numpy's limit on array axes.
     """
     canon = canonicalize(phi, roles)
     check_guard(f"phi^(x){spec.n}", canon.layout.total_dim ** spec.n, guard)
     axes = len(canon.layout.dims) * spec.n
     if axes > _MAX_AXES:
         raise GuardExceededError(f"phi^(x){spec.n} needs {axes} per-copy axes; numpy allows {_MAX_AXES}")
+    for group in (("C",), ("A",), ("B", "R"), ("B",), ("A", "R")):
+        d = canon.layout.dim_of_set(group)
+        types = math.comb(spec.n + d - 1, d - 1)
+        check_guard(f"the type enumeration of {''.join(group)}^(x){spec.n}", types * d, guard)
     if stream is None:
         stream = SeededStream(0)
     rates = resource_rates(canon, IDENTITY_ROLES)

@@ -162,7 +162,7 @@ def _pair_state(half: _Half, ref: PureState, sizes: Mapping[str, int]) -> PureSt
     """Phi_{kept partner} (x) ref, over ``half.layout``."""
     d = sizes[half.shared[0]]
     pair = np.eye(d, dtype=complex).reshape(-1) * (1.0 / np.sqrt(d))
-    return PureState(_layout(half.layout, sizes), np.kron(pair, ref.amplitudes))
+    return PureState(_layout(half.layout, sizes), (pair[:, None] * ref.amplitudes[None, :]).reshape(-1))
 
 
 def _align(half: _Half, ref: PureState, u: np.ndarray, p: CutPartition, eps: float) -> UhlmannResult:
@@ -173,10 +173,20 @@ def _align(half: _Half, ref: PureState, u: np.ndarray, p: CutPartition, eps: flo
     """
     m, s = _factors(*_condition(half, ref), p, u[None])
     sizes = _sizes(ref.dims, p)
-    d = sizes[half.shared[0]]
-    n = np.kron(np.eye(d, dtype=complex) / np.sqrt(d), s)
+    n = _entangled_factor(s, sizes[half.shared[0]])
     iso, overlap, distance = _uhlmann_align(m[0], n, _layout(half.own, sizes), _layout(half.out, sizes))
     return UhlmannResult(iso, overlap, eps, distance)
+
+
+def _entangled_factor(s: np.ndarray, d: int) -> np.ndarray:
+    """I/sqrt(d) (x) S by one broadcast product.
+
+    It forms every product of the Kronecker product, so the off-diagonal blocks keep their signed
+    zeros: on the Householder branch of the alignment a reflector's sign follows the sign of an
+    exactly zero pivot, and all-positive zeros would pick another (equally valid) extension.
+    """
+    coef = np.eye(d, dtype=complex) / np.sqrt(d)
+    return (coef[:, None, :, None] * s[None, :, None, :]).reshape(d * len(s), -1)
 
 
 def _plan_entries(dims: Sequence[int], p: CutPartition) -> int:

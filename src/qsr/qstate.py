@@ -237,8 +237,8 @@ class LinearMap:
 
 def _matricize(vec: np.ndarray, dims: Sequence[int], axes: Sequence[int]) -> np.ndarray:
     """``vec`` as a matrix: rows run over ``axes`` (in the given order), columns over the rest."""
-    arr = np.moveaxis(np.asarray(vec).reshape(dims), axes, range(len(axes)))
-    return arr.reshape(math.prod(dims[a] for a in axes), -1)
+    order = (*axes, *(a for a in range(len(dims)) if a not in axes))
+    return np.asarray(vec).reshape(dims).transpose(order).reshape(math.prod(dims[a] for a in axes), -1)
 
 
 def _smaller_gram(vec: np.ndarray, dims: Sequence[int], keep_axes: Sequence[int]) -> np.ndarray:

@@ -237,6 +237,15 @@ class TestExitCodes:
         res = run_json(capsys, "iid", "--state", str(state), "--n", "1")["results"]
         assert res["distance_to_target"] <= min(2.0, res["measured_bound"]) + 1e-8
 
+    def test_thousand_level_register_refused_at_n2(self, capsys, tmp_path):
+        # Two copies of a 1000-level C have comb(1001, 999) = 500,500 types
+        # of 1000 counts each: refused before the enumeration starts.
+        state = tmp_path / "wide.json"
+        assert main(["sample-state", "--dims", "C=1000,A=1,B=1,R=1", "--seed", "1", "--out", str(state)]) == 0
+        code, out, err = run_cli(capsys, "iid", "--state", str(state), "--n", "2")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "type enumeration of C" in err and "Traceback" not in err
+
     def test_missing_subcommand_is_usage(self, capsys):
         assert run_cli(capsys, )[0] == 1
 

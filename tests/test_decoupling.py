@@ -18,7 +18,7 @@ from qsr.decoupling import (
     residual_stack,
     single_bound,
 )
-from qsr.decoupling import _residuals
+from qsr.decoupling import _difference, _residuals
 from qsr.metrics import hermitian_trace_distance
 from qsr.qstate import (
     LayoutError,
@@ -182,6 +182,34 @@ class TestResidualKernel:
         got = _residuals(vec, dims, side, keep, CutPartition(*cut), us)
         want = decoupling_residuals(vec, dims, side, 0 if keep == KEEP_C1 else 1, cut, us)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("w", [1, 3, 8])
+    @pytest.mark.parametrize("d_kept", [1, 2, 3])
+    def test_difference_equals_the_kron_definition(self, d_kept, w):
+        rng = SeededStream(70).derive(10 * d_kept + w).generator()
+        m = rng.standard_normal((2, d_kept * w, 5)) + 1j * rng.standard_normal((2, d_kept * w, 5))
+        s = rng.standard_normal((w, 4)) + 1j * rng.standard_normal((w, 4))
+        want = m @ m.conj().transpose(0, 2, 1) - np.kron(np.eye(d_kept) / d_kept, s @ s.conj().T)
+        assert np.array_equal(_difference(m, s, d_kept), want)
+
+    @pytest.mark.parametrize("d_kept", [1, 2])
+    def test_peak_memory_of_one_call(self, d_kept):
+        # A 512-wide Gram: besides it, only S S^H / d_kept (1/d_kept^2 of
+        # its size) may be alive.  A dense kron target, subtracted from the
+        # Gram, peaks at two Gram-sized arrays whatever d_kept is.
+        d_c, w = 4 * d_kept, 512 // d_kept
+        rng = SeededStream(71).derive(d_kept).generator()
+        vec = rng.standard_normal(d_c * w) + 1j * rng.standard_normal(d_c * w)
+        args = (vec / np.linalg.norm(vec), (d_c, w), (1,), KEEP_C1, CutPartition(d_kept, 2, 2))
+        us = haar_unitary_batch(1, d_c, rng)
+        _residuals(*args, us)
+        tracemalloc.start()
+        try:
+            _residuals(*args, us)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (1.25 + 1 / d_kept**2) * 512**2 * 16, peak / (512**2 * 16)
 
 
 class TestHaarAverage:

@@ -13,6 +13,7 @@ from qsr.iid import (
     TypicalSpec,
     allocate_partition,
     iid_experiment,
+    log2_window,
     project_typical,
     string_mask,
     tensor_power,
@@ -44,6 +45,21 @@ class TestTypicalStats:
         stats = typical_stats(np.full(1000, 1e-3), TypicalSpec(n=1, delta=0.1))
         assert stats.rank == 1000 and abs(stats.weight - 1.0) < 1e-12
         assert stats.typical_types[0] == (0,) * 999 + (1,) and stats.typical_types[-1] == (1,) + (0,) * 999
+
+    @pytest.mark.parametrize("n", [1100, 2000])
+    def test_multiplicities_beyond_the_float_range(self, n):
+        # The largest comb(n, k) exceeds the largest float from n = 1030 on;
+        # the weight is checked against a log-space sum over typical counts.
+        lam, spec = np.array([0.7, 0.3]), TypicalSpec(n=n, delta=0.1)
+        stats = typical_stats(lam, spec)
+        lo, hi = log2_window(lam, spec)
+        logs = np.log2(lam)
+        counts = [(a, n - a) for a in range(n + 1) if lo <= a * logs[0] + (n - a) * logs[1] <= hi]
+        assert stats.typical_types == tuple(counts)
+        assert stats.rank == sum(math.comb(n, a) for a, _ in counts) and stats.rank.bit_length() > 1024
+        weight = sum(math.exp(math.lgamma(n + 1) - math.lgamma(a + 1) - math.lgamma(b + 1)
+                              + a * math.log(0.7) + b * math.log(0.3)) for a, b in counts)
+        assert abs(stats.weight - weight) < 1e-9
 
     def test_skewed_spectrum_at_n50(self):
         # Admissible counts of the 0.1 eigenvalue at delta = 0.1 are k in {4, 5, 6}.
@@ -315,6 +331,15 @@ class TestExperimentDriver:
             iid_experiment(phi, PRESET_ROLES, TypicalSpec(n=17, delta=0.5), SeededStream(132))
         rep = iid_experiment(phi, PRESET_ROLES, TypicalSpec(n=16, delta=0.5), SeededStream(132))
         assert rep.protocol.distance_to_target <= 1e-6
+
+    def test_type_enumeration_refusal(self):
+        # phi^(x)2 of C=2, A=200 has 160,000 entries, under the entries guard,
+        # but typical_stats would walk comb(201, 199) = 20,100 types of 200
+        # counts for the A copies: refused before any type is enumerated.
+        lay = SystemLayout.of(("C", 2), ("A", 200), ("B", 1), ("R", 1))
+        phi = random_pure_state(lay, SeededStream(133))
+        with pytest.raises(GuardExceededError, match=r"type enumeration of A\^\(x\)2 needs 4020000 entries"):
+            iid_experiment(phi, PRESET_ROLES, TypicalSpec(n=2, delta=0.5), SeededStream(134))
 
     def test_determinism(self):
         a = iid_experiment(preset_state("tilted-CR"), PRESET_ROLES,

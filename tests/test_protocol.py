@@ -4,13 +4,19 @@ import dataclasses
 import itertools
 
 import numpy as np
+import pytest
 from qsr.decoupling import KEEP_C1, KEEP_C2, CutPartition, decoupling_bound, residual, single_bound
 from qsr.iid import TypicalSpec, iid_experiment
 from qsr.metrics import gram_trace_distance, pure_trace_distance
 from qsr.presets import PRESET_ROLES, preset_state
 from qsr.protocol import (
+    _DECODER,
+    _ENCODER,
     ReferencePair,
+    _entangled_factor,
+    _pair_state,
     _plan_entries,
+    _sizes,
     build_plan,
     canonicalize,
     eta_bounds,
@@ -441,3 +447,29 @@ class TestPreflight:
                 want = max(max(d1, d2) ** 2 * d_c * d_a * d_b * d_r, (d2 * d_b * d_r) ** 2,
                            (d1 * d_a * d_r) ** 2, (d1 * d3 * d_a) ** 2, (d2 * d3 * d_b) ** 2)
                 assert _plan_entries((d_c, d_a, d_b, d_r), CutPartition(d1, d2, d3)) == want
+
+
+class TestKronFreeOperands:
+    """The protocol's product operands equal their np.kron definitions."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (8, 2)])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_entangled_factor(self, d, shape):
+        rng = SeededStream(330).derive(d).generator()
+        s = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got, want = _entangled_factor(s, d), np.kron(np.eye(d, dtype=complex) / np.sqrt(d), s)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # signed zeros too: they steer Householder reflectors
+
+    @pytest.mark.parametrize("side", [(1, 1, 1), (2, 3, 1), (3, 1, 2)])
+    @pytest.mark.parametrize("cut", [(1, 1, 2), (2, 3, 1), (3, 2, 1)])
+    def test_pair_states(self, cut, side):
+        p = CutPartition(*cut)
+        layout = SystemLayout.of(("C", p.total), *zip("ABR", side))
+        ref = random_pure_state(layout, SeededStream(331).derive(10 * sum(cut) + sum(side)))
+        sizes = _sizes(ref.dims, p)
+        for half, d in ((_ENCODER, p.d2), (_DECODER, p.d1)):
+            pair = np.eye(d, dtype=complex).reshape(-1) * (1.0 / np.sqrt(d))
+            got = _pair_state(half, ref, sizes)
+            assert got.dims == tuple(sizes[lab] for lab in half.layout)
+            assert np.array_equal(got.amplitudes, np.kron(pair, ref.amplitudes))

@@ -25,6 +25,7 @@ from qsr.qstate import (
     state_to_json,
     tensor,
 )
+from qsr.qstate import _matricize
 from qsr.sampling import SeededStream, haar_unitary, random_pure_state
 
 from oracles import loop_partial_trace, loop_vector_partial_trace
@@ -108,6 +109,16 @@ class TestPartialTrace:
         psi = random_pure_state(SystemLayout.of(("X", 2), ("Y", 3), ("Z", 2)), SeededStream(3))
         red = partial_trace(psi, ["Z", "X"])  # request order must not matter
         assert red.layout.labels == ("X", "Z")
+
+
+class TestMatricize:
+    @pytest.mark.parametrize("axes", [(2,), (3, 0), (1, 3, 0), (2, 0, 3, 1), ()])
+    def test_matches_moveaxis(self, axes):
+        dims = (2, 3, 1, 4)
+        vec = np.arange(24) + 1j * np.arange(24)[::-1]
+        rows = int(np.prod([dims[a] for a in axes]))
+        want = np.moveaxis(vec.reshape(dims), axes, range(len(axes))).reshape(rows, -1)
+        assert np.array_equal(_matricize(vec, dims, axes), want)
 
 
 class TestApply:
