@@ -1,6 +1,5 @@
 """Numerical toolkit for one-shot quantum state redistribution."""
 
-from .config import DEFAULT_TOLS, Tolerances
 from .decoupling import (
     CutPartition,
     DecouplingBounds,

@@ -1,28 +1,5 @@
-"""Shared numerical tolerance configuration.
+"""Shared numerical tolerances, read by every construction-time check of the library."""
 
-All construction-time invariant checks and derived-equality checks in the
-library read their thresholds from one place so the whole artifact can be
-tightened or relaxed consistently.
-"""
-
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds used across the library.
-
-    invariant: construction-time checks (norms, hermiticity, isometry defect).
-    derived: equalities that hold analytically but pass through floating point.
-    eigenvalue_clamp: eigenvalues below this are treated as exact zeros
-        (Hermitian eigensolvers emit tiny negatives).
-    """
-
-    invariant: float = 1e-10
-    derived: float = 1e-9
-    eigenvalue_clamp: float = 1e-12
-
-
-DEFAULT_TOLS = Tolerances()
+INVARIANT_TOL = 1e-10  # construction-time checks: norms, hermiticity, isometry defect
+DERIVED_TOL = 1e-9  # equalities that hold analytically but pass through floating point
+EIGENVALUE_CLAMP = 1e-12  # eigenvalues below this are exact zeros (eigensolvers emit tiny negatives)

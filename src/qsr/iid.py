@@ -105,13 +105,10 @@ class TypicalProjector:
     typical; rank counts the strings, weight their total probability.
     """
 
-    base_eigenvalues: tuple[float, ...]
     n: int
     typical_types: tuple[tuple[int, ...], ...]
     rank: int
     weight: float
-    log2_lo: float
-    log2_hi: float
 
     def __post_init__(self) -> None:
         if not -1e-12 <= self.weight <= 1.0 + 1e-9:
@@ -143,24 +140,21 @@ def typical_stats(rho: "DensityOperator | np.ndarray", spec: TypicalSpec) -> Typ
                 shift = mult.bit_length() - 64
                 weight += (mult >> shift) * 2.0 ** (lp + shift)
     return TypicalProjector(
-        base_eigenvalues=tuple(float(x) for x in eigs),
         n=spec.n,
         typical_types=tuple(types),
         rank=rank,
         weight=float(weight),
-        log2_lo=lo,
-        log2_hi=hi,
     )
 
 
-def _mask(stats: TypicalProjector) -> np.ndarray:
-    """Boolean mask over the d^n eigenvalue strings of ``stats`` (mixed-radix order).
+def _mask(stats: TypicalProjector, d: int) -> np.ndarray:
+    """Boolean mask over the d^n eigenvalue strings of ``stats`` on a d-level spectrum (mixed-radix order).
 
     A string is typical when its type class is one of the typical types, so
     the mask count equals the combinatorial rank.  A type is keyed by its
     sorted string read in base d.
     """
-    d, n = len(stats.base_eigenvalues), stats.n
+    n = stats.n
     powers = d ** np.arange(n, dtype=np.int64)
     symbols = np.indices((d,) * n, dtype=np.min_scalar_type(d - 1)).reshape(n, -1)
     strings = np.sort(symbols, axis=0)
@@ -173,7 +167,7 @@ def _mask(stats: TypicalProjector) -> np.ndarray:
 
 def string_mask(eigenvalues: np.ndarray, spec: TypicalSpec) -> np.ndarray:
     """Boolean mask over d^n eigenvalue strings, typical ones set (see ``_mask``)."""
-    return _mask(typical_stats(eigenvalues, spec))
+    return _mask(typical_stats(eigenvalues, spec), len(eigenvalues))
 
 
 def tensor_power(phi: PureState, n: int) -> PureState:
@@ -386,7 +380,7 @@ def iid_experiment(
         """Eigenvectors, typical statistics and string mask of one group's single-copy marginal."""
         eigs, vecs = np.linalg.eigh(vector_partial_trace(canon.amplitudes, canon.dims, canon.layout.axes(group)))
         stats = typical_stats(eigs, spec)
-        return vecs, stats, _mask(stats)
+        return vecs, stats, _mask(stats, len(eigs))
 
     def project(vec: np.ndarray, *group: str) -> np.ndarray:
         vecs, _, mask = basis(*group)

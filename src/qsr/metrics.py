@@ -12,7 +12,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
+from .config import DERIVED_TOL, EIGENVALUE_CLAMP
 from .qstate import (
     DensityOperator,
     InvariantViolation,
@@ -90,7 +90,7 @@ def purity(rho: DensityOperator) -> float:
 def entropy_bits(eigenvalues: np.ndarray) -> float:
     """Shannon entropy (bits) of a spectrum, clamped into [0, 1]."""
     lam = np.clip(np.asarray(eigenvalues, dtype=float), 0.0, 1.0)
-    lam = lam[lam > DEFAULT_TOLS.eigenvalue_clamp]
+    lam = lam[lam > EIGENVALUE_CLAMP]
     if lam.size == 0:
         return 0.0
     return float(-(lam * np.log2(lam)).sum())
@@ -149,10 +149,9 @@ class ResourceRates:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "net_ebits", self.ebits_consumed - self.ebits_distilled)
-        tol = DEFAULT_TOLS.derived
         for name in ("qubits", "ebits_consumed", "ebits_distilled"):
-            if getattr(self, name) < -tol:
-                raise InvariantViolation(f"{name} = {getattr(self, name)} is negative beyond {tol}")
+            if getattr(self, name) < -DERIVED_TOL:
+                raise InvariantViolation(f"{name} = {getattr(self, name)} is negative beyond {DERIVED_TOL}")
 
 
 def role_groups(layout_labels: Iterable[str], roles: Mapping[str, str]) -> dict[str, list[str]]:

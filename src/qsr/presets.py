@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .protocol import IDENTITY_ROLES
 from .qstate import PureState, SystemLayout
 from .sampling import SeededStream, random_pure_state
 
@@ -16,7 +17,7 @@ from .sampling import SeededStream, random_pure_state
 # spectrum is visibly non-flat while keeping typicality windows forgiving.
 _TILT = (0.85, 0.15)
 
-PRESET_ROLES = {"C": "C", "A": "A", "B": "B", "R": "R"}
+PRESET_ROLES = IDENTITY_ROLES  # every preset's roles equal its labels
 
 
 def _two_party(partner: str) -> PureState:

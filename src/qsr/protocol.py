@@ -43,8 +43,6 @@ from .qstate import (
     PureState,
     SystemLayout,
     check_guard,
-    merge_subsystems,
-    permute,
     permute_unchecked,
 )
 from .sampling import SeededStream, as_generator
@@ -54,15 +52,10 @@ def canonicalize(phi: PureState, roles: Mapping[str, str]) -> PureState:
     """Merge role groups into the canonical four-subsystem layout C, A, B, R (``phi`` itself if it is)."""
     groups = role_groups(phi.layout.labels, roles)
     ordered = [lab for role in ROLES for lab in groups[role]]
-    layout, vec = permute_unchecked(phi.layout, phi.amplitudes, ordered)
-    # Merge under temporary names first: a label may equal another group's
-    # role (e.g. swapping the A and B assignments).
-    for role in ROLES:
-        layout = merge_subsystems(layout, groups[role], f"role:{role}")
-    layout = layout.renamed({f"role:{role}": role for role in ROLES})
-    if layout == phi.layout and ordered == list(phi.layout.labels):
+    if tuple(ordered) == phi.layout.labels == ROLES:
         return phi
-    return PureState(layout, vec)
+    layout = SystemLayout(tuple((role, phi.layout.dim_of_set(groups[role])) for role in ROLES))
+    return PureState(layout, phi.amplitudes.reshape(phi.dims).transpose(phi.layout.axes(ordered)))
 
 
 IDENTITY_ROLES = {r: r for r in ROLES}
@@ -158,11 +151,17 @@ def _eta(bound: float) -> float:
     return 2.0 * (2.0 * bound) ** 0.25
 
 
-def _pair_state(half: _Half, ref: PureState, sizes: Mapping[str, int]) -> PureState:
-    """Phi_{kept partner} (x) ref, over ``half.layout``."""
-    d = sizes[half.shared[0]]
-    pair = np.eye(d, dtype=complex).reshape(-1) * (1.0 / np.sqrt(d))
-    return PureState(_layout(half.layout, sizes), (pair[:, None] * ref.amplitudes[None, :]).reshape(-1))
+def _entangled(x: np.ndarray, d: int) -> np.ndarray:
+    """I/sqrt(d) (x) x for a matrix ``x``, by one broadcast product.
+
+    With x = S it is the alignment's N; with the one-row x = ref it is the pair vector
+    Phi_{kept partner} (x) ref over a half's layout, as a d x (d len(ref)) matrix.  It forms every
+    product of the Kronecker product, so the off-diagonal blocks keep their signed zeros: on the
+    Householder branch of the alignment a reflector's sign follows the sign of an exactly zero
+    pivot, and all-positive zeros would pick another (equally valid) extension.
+    """
+    coef = np.eye(d, dtype=complex) / np.sqrt(d)
+    return (coef[:, None, :, None] * x[None, :, None, :]).reshape(d * len(x), -1)
 
 
 def _align(half: _Half, ref: PureState, u: np.ndarray, p: CutPartition, eps: float) -> UhlmannResult:
@@ -173,20 +172,9 @@ def _align(half: _Half, ref: PureState, u: np.ndarray, p: CutPartition, eps: flo
     """
     m, s = _factors(*_condition(half, ref), p, u[None])
     sizes = _sizes(ref.dims, p)
-    n = _entangled_factor(s, sizes[half.shared[0]])
+    n = _entangled(s, sizes[half.shared[0]])
     iso, overlap, distance = _uhlmann_align(m[0], n, _layout(half.own, sizes), _layout(half.out, sizes))
     return UhlmannResult(iso, overlap, eps, distance)
-
-
-def _entangled_factor(s: np.ndarray, d: int) -> np.ndarray:
-    """I/sqrt(d) (x) S by one broadcast product.
-
-    It forms every product of the Kronecker product, so the off-diagonal blocks keep their signed
-    zeros: on the Householder branch of the alignment a reflector's sign follows the sign of an
-    exactly zero pivot, and all-positive zeros would pick another (equally valid) extension.
-    """
-    coef = np.eye(d, dtype=complex) / np.sqrt(d)
-    return (coef[:, None, :, None] * s[None, :, None, :]).reshape(d * len(s), -1)
 
 
 def _plan_entries(dims: Sequence[int], p: CutPartition) -> int:
@@ -342,38 +330,39 @@ def _assemble(
 
 def initial_state(plan: ProtocolPlan) -> PureState:
     """Phi_{C2 A2} (x) phi with Alice holding A2 C'' A'' and Bob C2 B."""
-    return _pair_state(_ENCODER, plan.phi, _sizes(plan.phi.dims, plan.partition))
+    sizes = _sizes(plan.phi.dims, plan.partition)
+    return PureState(_layout(_ENCODER.layout, sizes), _entangled(plan.phi.amplitudes[None], plan.partition.d2))
 
 
 def final_state_target(plan: ProtocolPlan) -> PureState:
     """Phi_{C1 B1} (x) phi with Alice holding C1 A and Bob B1 C' B'."""
-    return _pair_state(_DECODER, plan.phi, _sizes(plan.phi.dims, plan.partition))
+    sizes = _sizes(plan.phi.dims, plan.partition)
+    return PureState(_layout(_DECODER.layout, sizes), _entangled(plan.phi.amplitudes[None], plan.partition.d1))
 
 
-def _run(
-    start: PureState, target: PureState, undo: _Half, redo: _Half, plan: ProtocolPlan, sizes: Mapping[str, int]
-) -> ProtocolReport:
-    """Undo one half's isometry on ``start``, hand C3 over, apply the other half's; compare with ``target``.
+def _run(start: np.ndarray, undo: _Half, redo: _Half, plan: ProtocolPlan, sizes: Mapping[str, int]) -> ProtocolReport:
+    """Undo one half's isometry on the pair vector ``start``, hand C3 over, apply the other half's.
 
-    The ledger is log2 d3 qubits sent, the start's ebit pair consumed and the target's distilled.
+    The result is compared with the other half's pair vector of the plan's state.  The ledger is
+    log2 d3 qubits sent, the start's ebit pair consumed and the target's distilled.
     """
     undo_iso, redo_iso = (plan.encoder if h is _ENCODER else plan.decoder for h in (undo, redo))
 
     def dims(labels: tuple[str, ...]) -> list[int]:
         return [sizes[lab] for lab in labels]
 
-    vec = start.amplitudes.reshape(dims(undo.layout)).transpose(_TO_SHARED_FIRST[undo])
+    vec = start.reshape(dims(undo.layout)).transpose(_TO_SHARED_FIRST[undo])
     vec = undo_iso.adjoint(vec.reshape(math.prod(dims(undo.shared)), -1))
     vec = vec.reshape(dims(undo.shared + undo.own)).transpose(_HANDOVER)
     vec = redo_iso.apply(vec.reshape(math.prod(dims(redo.shared)), -1))
     vec = vec.reshape(dims(redo.shared + redo.out)).transpose(_TO_LAYOUT[redo]).reshape(-1)
-    distance = pure_trace_distance(vec, target.amplitudes)
+    distance = pure_trace_distance(vec, _entangled(plan.phi.amplitudes[None], sizes[redo.shared[0]]))
     norm = float(np.linalg.norm(vec))
     if not norm >= 1e-12:
         raise InvariantViolation("final state has vanished; cannot report a normalized state")
     vec /= norm
     return ProtocolReport(
-        final_state=PureState(target.layout, vec),
+        final_state=PureState(_layout(redo.layout, sizes), vec),
         distance_to_target=distance,
         analytic_bound=plan.analytic_bound,
         measured_bound=plan.measured_bound,
@@ -393,9 +382,8 @@ def run_forward(phi: PureState, plan: ProtocolPlan) -> ProtocolReport:
     canon = phi if phi.layout == plan.phi.layout else canonicalize(phi, plan.roles)
     if canon.layout != plan.phi.layout:
         raise LayoutError(f"state layout {canon.layout} does not match the plan's {plan.phi.layout}")
-    sizes = _sizes(plan.phi.dims, plan.partition)
-    start, target = _pair_state(_ENCODER, canon, sizes), _pair_state(_DECODER, plan.phi, sizes)
-    return _run(start, target, _ENCODER, _DECODER, plan, sizes)
+    start = _entangled(canon.amplitudes[None], plan.partition.d2)
+    return _run(start, _ENCODER, _DECODER, plan, _sizes(plan.phi.dims, plan.partition))
 
 
 def run_reverse(plan: ProtocolPlan, upsilon_final: "PureState | None" = None) -> ProtocolReport:
@@ -405,9 +393,12 @@ def run_reverse(plan: ProtocolPlan, upsilon_final: "PureState | None" = None) ->
     Alice.  ``upsilon_final`` defaults to the ideal final state; a forward
     run's final_state can be passed directly.
     """
-    ideal = final_state_target(plan)
-    start = ideal if upsilon_final is None else permute(upsilon_final, ideal.layout.labels)
-    if start.layout != ideal.layout:
-        raise LayoutError(f"reverse input layout {start.layout} != expected {ideal.layout}")
     sizes = _sizes(plan.phi.dims, plan.partition)
-    return _run(start, _pair_state(_ENCODER, plan.phi, sizes), _DECODER, _ENCODER, plan, sizes)
+    if upsilon_final is None:
+        start = _entangled(plan.phi.amplitudes[None], plan.partition.d1)
+    else:
+        layout, start = permute_unchecked(upsilon_final.layout, upsilon_final.amplitudes, _DECODER.layout)
+        ideal = _layout(_DECODER.layout, sizes)
+        if layout != ideal:
+            raise LayoutError(f"reverse input layout {layout} != expected {ideal}")
+    return _run(start, _DECODER, _ENCODER, plan, sizes)

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
+from .config import EIGENVALUE_CLAMP, INVARIANT_TOL
 
 STATE_FORMAT_VERSION = "qsr-state/1"
 
@@ -149,7 +149,6 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        tols = DEFAULT_TOLS
         amps = _frozen(np.asarray(self.amplitudes).reshape(-1))
         object.__setattr__(self, "amplitudes", amps)
         if amps.shape != (self.layout.total_dim,):
@@ -157,8 +156,8 @@ class PureState:
                 f"amplitude length {amps.shape[0]} != layout dimension {self.layout.total_dim}"
             )
         norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= tols.invariant:
-            raise InvariantViolation(f"pure state norm {norm} deviates from 1 beyond {tols.invariant}")
+        if not abs(norm - 1.0) <= INVARIANT_TOL:
+            raise InvariantViolation(f"pure state norm {norm} deviates from 1 beyond {INVARIANT_TOL}")
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -177,24 +176,38 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        tols = DEFAULT_TOLS
         mat = _frozen(np.asarray(self.matrix))
         object.__setattr__(self, "matrix", mat)
         d = self.layout.total_dim
         if mat.shape != (d, d):
             raise LayoutError(f"matrix shape {mat.shape} != layout dimension ({d}, {d})")
-        if not np.max(np.abs(mat - mat.conj().T)) <= tols.invariant:
+        if not np.max(np.abs(mat - mat.conj().T)) <= INVARIANT_TOL:
             raise InvariantViolation("density operator is not Hermitian within tolerance")
         tr = float(mat.trace().real)
-        if not abs(tr - 1.0) <= tols.invariant:
+        if not abs(tr - 1.0) <= INVARIANT_TOL:
             raise InvariantViolation(f"density operator trace {tr} deviates from 1")
         evals = np.linalg.eigvalsh(mat)
-        if not float(evals.min()) >= -tols.invariant * max(1.0, float(evals.max())):
+        if not float(evals.min()) >= -INVARIANT_TOL * max(1.0, float(evals.max())):
             raise InvariantViolation(f"density operator has negative eigenvalue {evals.min()}")
 
     @property
     def dims(self) -> tuple[int, ...]:
         return self.layout.dims
+
+
+def _gram_rows(a: np.ndarray):
+    """Blocks (j, rows j .. j+255 of a^H a) from the real view of ``a``: no conjugated copy of ``a``."""
+    r, k = np.ascontiguousarray(a, dtype=complex).view(np.float64), a.shape[1]
+    for j in range(0, k, 256):
+        g = (r[:, 2 * j : 2 * (j + 256)].T @ r).reshape(-1, 2, k, 2)
+        yield j, g[:, 0, :, 0] + g[:, 1, :, 1] + 1j * (g[:, 0, :, 1] - g[:, 1, :, 0])
+
+
+def _check_isometry(a: np.ndarray, *defects: float) -> None:
+    """Refuse ``a`` unless |a^H a - I| (taken blockwise) and every further ``defect`` are within tolerance."""
+    defect = np.max([np.abs(g - np.eye(*g.shape, k=j)).max() for j, g in _gram_rows(a)] + list(defects))
+    if not defect <= INVARIANT_TOL:
+        raise InvariantViolation(f"isometry defect {defect} exceeds {INVARIANT_TOL}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +224,6 @@ class LinearMap:
     kind: str = "general"
 
     def __post_init__(self) -> None:
-        tols = DEFAULT_TOLS
         mat = _frozen(np.asarray(self.matrix))
         object.__setattr__(self, "matrix", mat)
         d_in = self.input_layout.total_dim
@@ -225,9 +237,7 @@ class LinearMap:
         if self.kind in ("unitary", "isometry"):
             if d_out < d_in:
                 raise InvariantViolation("isometry needs output dimension >= input dimension")
-            defect = np.max(np.abs(mat.conj().T @ mat - np.eye(d_in)))
-            if not defect <= tols.invariant:
-                raise InvariantViolation(f"isometry defect {defect} exceeds {tols.invariant}")
+            _check_isometry(mat)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +507,7 @@ def purify(rho: DensityOperator, purifier_label: str) -> PureState:
 def _purifying_factor(mat: np.ndarray) -> np.ndarray:
     """F with F F^H = ``mat``: entry (i, r) is sqrt(lambda_r) v_r[i] over the eigenvalues above the clamp."""
     evals, evecs = np.linalg.eigh(mat)
-    keep = evals > DEFAULT_TOLS.eigenvalue_clamp
+    keep = evals > EIGENVALUE_CLAMP
     return evecs[:, keep] * np.sqrt(evals[keep])
 
 

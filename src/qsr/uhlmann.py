@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
 from .metrics import gram_trace_distance, pure_trace_distance
 from .qstate import (
     InvariantViolation,
@@ -25,6 +24,8 @@ from .qstate import (
     LinearMap,
     PureState,
     SystemLayout,
+    _check_isometry,
+    _gram_rows,
     check_guard,
     permute_unchecked,
 )
@@ -92,14 +93,6 @@ def _householder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return y, t, np.triu(raw.T[:k])
 
 
-def _gram_rows(a: np.ndarray):
-    """Blocks (j, rows j .. j+255 of a^H a) from the real view of ``a``: no conjugated copy of ``a``."""
-    r, k = np.ascontiguousarray(a, dtype=complex).view(np.float64), a.shape[1]
-    for j in range(0, k, 256):
-        g = (r[:, 2 * j : 2 * (j + 256)].T @ r).reshape(-1, 2, k, 2)
-        yield j, g[:, 0, :, 0] + g[:, 1, :, 1] + 1j * (g[:, 0, :, 1] - g[:, 1, :, 0])
-
-
 @dataclass(frozen=True, eq=False)
 class FactoredIsometry:
     """An isometry K from ``input_layout`` to ``output_layout``, kept as the factors that built it.
@@ -123,12 +116,11 @@ class FactoredIsometry:
         got = [np.shape(f) for f in (self.z, self.y, self.t)[: len(want)]]
         if d_out < d_in or got != want:
             raise LayoutError(f"isometry {d_in} -> {d_out} has factor shapes {got}, want {want}")
-        defects = [np.abs(g - np.eye(*g.shape, k=j)).max() for j, g in _gram_rows(self.z)]
+        wy = []
         if self.y is not None:
             t, th, gram = self.t, self.t.conj().T, np.vstack([g for _, g in _gram_rows(self.y)])
-            defects.append(np.abs(t + th - th @ gram @ t).max())
-        if not np.max(defects) <= DEFAULT_TOLS.invariant:
-            raise InvariantViolation(f"isometry defect {np.max(defects)} exceeds {DEFAULT_TOLS.invariant}")
+            wy.append(np.abs(t + th - th @ gram @ t).max())
+        _check_isometry(self.z, *wy)
 
     def to_linear_map(self) -> LinearMap:
         """K as a dense, validated LinearMap; refused above the size guard."""

@@ -325,3 +325,59 @@ class TestNoTraceback:
                 if code not in (0, 1, 2, 3) or (code and err.count("\n") != 1):
                     bad.append((argv, code, err))
         assert bad == []
+
+
+# The commands whose records (excluding timings), stderr and state file are compared byte for
+# byte between two versions of the code, each with its documented exit code.  They run in one
+# directory, where the first writes the s.json that others read.
+BIT_IDENTITY_COMMANDS = (
+    ("sample-state --dims C=4,A=2,B=2,R=2 --seed 7 --out s.json", 0),
+    ("rates --state bell-CR", 0),
+    ("rates --state s.json", 0),
+    ("rates --state random --seed 3", 0),
+    ("decouple --partition 2,2,2 --samples 500 --seed 7", 0),
+    ("decouple --partition 2,2,1 --dim-c 4 --omega pi --psi pi --samples 500", 0),
+    ("protocol --state bell-CA --partition 1,2,1 --seed 3", 0),
+    ("protocol --state bell-CR --partition 1,1,2 --seed 3 --reverse", 0),
+    ("protocol --state s.json --partition 2,1,2 --seed 5", 0),
+    ("protocol --state s.json --partition 1,2,2 --seed 5 --reverse", 0),
+    ("protocol --state random --partition 2,1,1 --seed 9 --roles C=C,A=B,B=A,R=R", 0),
+    ("iid --state product --n 5 --delta 0.1 --seed 1", 0),
+    ("iid --state bell-CR --sweep 2..6 --delta 0.05 --t 1.5 --seed 1", 0),
+    ("iid --state ghz-CBR --n 4 --delta 0.05 --seed 2", 0),
+    ("iid --state random --n 3 --delta 0.35 --t 1.2 --seed 124", 0),
+    ("iid --state tilted-CR --n 7 --delta 2.127125289449806", 0),
+)
+
+
+def comparable_output(stdout: str) -> list:
+    """Each stdout line: a JSON record without its timings, or a CSV row as it is."""
+    out = []
+    for line in stdout.splitlines():
+        if line.startswith("{"):
+            record = json.loads(line)
+            record.pop("timings")
+            out.append(record)
+        else:
+            out.append(line)
+    return out
+
+
+class TestBitIdentityCommands:
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("bit_identity")
+        argv = BIT_IDENTITY_COMMANDS[0][0].split()
+        assert main(argv[:-1] + [str(directory / argv[-1])]) == 0
+        return directory
+
+    @pytest.mark.parametrize("command,code", BIT_IDENTITY_COMMANDS, ids=[c for c, _ in BIT_IDENTITY_COMMANDS])
+    def test_two_runs_agree(self, capsys, monkeypatch, workdir, command, code):
+        monkeypatch.chdir(workdir)
+        runs = []
+        for _ in range(2):
+            got, stdout, stderr = run_cli(capsys, *command.split())
+            assert got == code, stderr
+            runs.append((comparable_output(stdout), stderr, (workdir / "s.json").read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] or command.startswith("sample-state")

@@ -2,10 +2,11 @@
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
-from qsr.decoupling import KEEP_C1, KEEP_C2, CutPartition, decoupling_bound, residual, single_bound
+from qsr.decoupling import KEEP_C1, KEEP_C2, CutPartition, _factors, decoupling_bound, residual, single_bound
 from qsr.iid import TypicalSpec, iid_experiment
 from qsr.metrics import gram_trace_distance, pure_trace_distance
 from qsr.presets import PRESET_ROLES, preset_state
@@ -13,13 +14,15 @@ from qsr.protocol import (
     _DECODER,
     _ENCODER,
     ReferencePair,
-    _entangled_factor,
-    _pair_state,
+    _condition,
+    _entangled,
+    _layout,
     _plan_entries,
     _sizes,
     build_plan,
     canonicalize,
     eta_bounds,
+    final_state_target,
     initial_state,
     run_forward,
     run_reverse,
@@ -34,7 +37,7 @@ from qsr.qstate import (
     tensor,
 )
 from qsr.sampling import SeededStream, random_pure_state
-from qsr.uhlmann import FactoredIsometry
+from qsr.uhlmann import FactoredIsometry, _align
 
 from oracles import (
     loop_partial_trace,
@@ -66,6 +69,38 @@ class TestCanonicalize:
         canon = canonicalize(phi, PRESET_ROLES)
         assert canon.layout == phi.layout
         np.testing.assert_allclose(canon.amplitudes, phi.amplitudes)
+
+    @staticmethod
+    def _oracle(phi, roles):
+        """The canonical state by one transpose of the amplitude tensor into role order."""
+        labels = phi.layout.labels
+        axes = [labels.index(lab) for role in "CABR" for lab in labels if roles[lab] == role]
+        dims = tuple(math.prod(d for lab, d in phi.layout.subsystems if roles[lab] == role) for role in "CABR")
+        return SystemLayout.of(*zip("CABR", dims)), phi.amplitudes.reshape(phi.dims).transpose(axes).reshape(-1)
+
+    @pytest.mark.parametrize("dims", [(2, 3, 2, 2), (2, 2, 2, 3)])
+    def test_labels_named_after_another_role(self, dims):
+        # The CLI's --roles C=C,A=B,B=A,R=R: label A holds role B and label B role A.
+        phi = random_pure_state(SystemLayout.of(*zip("CABR", dims)), SeededStream(92).derive(sum(dims)))
+        roles = {"C": "C", "A": "B", "B": "A", "R": "R"}
+        canon = canonicalize(phi, roles)
+        layout, amps = self._oracle(phi, roles)
+        assert canon is not phi
+        assert canon.layout == layout and canon.layout.dims == (dims[0], dims[2], dims[1], dims[3])
+        assert canon.amplitudes.tobytes() == amps.tobytes()
+
+    def test_interleaved_multi_label_groups(self):
+        lay = SystemLayout.of(("a1", 3), ("q0", 2), ("r", 1), ("b", 2), ("q1", 2), ("a0", 2))
+        phi = random_pure_state(lay, SeededStream(93))
+        roles = {"q0": "C", "q1": "C", "a1": "A", "a0": "A", "b": "B", "r": "R"}
+        canon = canonicalize(phi, roles)
+        layout, amps = self._oracle(phi, roles)
+        assert canon.layout == layout == SystemLayout.of(("C", 4), ("A", 6), ("B", 2), ("R", 1))
+        assert canon.amplitudes.tobytes() == amps.tobytes()
+
+    def test_canonical_input_is_returned_as_is(self):
+        for phi in (preset_state("ghz-CBR"), _random_phi(94)):
+            assert canonicalize(phi, PRESET_ROLES) is phi
 
 
 class TestEtaBounds:
@@ -457,19 +492,67 @@ class TestKronFreeOperands:
     def test_entangled_factor(self, d, shape):
         rng = SeededStream(330).derive(d).generator()
         s = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        got, want = _entangled_factor(s, d), np.kron(np.eye(d, dtype=complex) / np.sqrt(d), s)
+        got, want = _entangled(s, d), np.kron(np.eye(d, dtype=complex) / np.sqrt(d), s)
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()  # signed zeros too: they steer Householder reflectors
 
     @pytest.mark.parametrize("side", [(1, 1, 1), (2, 3, 1), (3, 1, 2)])
     @pytest.mark.parametrize("cut", [(1, 1, 2), (2, 3, 1), (3, 2, 1)])
     def test_pair_states(self, cut, side):
+        # The runs read the pair vectors raw; initial_state and final_state_target type the same bytes.
         p = CutPartition(*cut)
         layout = SystemLayout.of(("C", p.total), *zip("ABR", side))
         ref = random_pure_state(layout, SeededStream(331).derive(10 * sum(cut) + sum(side)))
         sizes = _sizes(ref.dims, p)
-        for half, d in ((_ENCODER, p.d2), (_DECODER, p.d1)):
+        plan = build_plan(ref, PRESET_ROLES, p, stream=SeededStream(332))
+        for half, d, typed in ((_ENCODER, p.d2, initial_state), (_DECODER, p.d1, final_state_target)):
             pair = np.eye(d, dtype=complex).reshape(-1) * (1.0 / np.sqrt(d))
-            got = _pair_state(half, ref, sizes)
-            assert got.dims == tuple(sizes[lab] for lab in half.layout)
-            assert np.array_equal(got.amplitudes, np.kron(pair, ref.amplitudes))
+            want = np.kron(pair, ref.amplitudes)
+            got = _entangled(ref.amplitudes[None], d)
+            assert got.shape == (d, d * len(ref.amplitudes))
+            assert got.tobytes() == want.tobytes()
+            state = typed(plan)
+            assert state.dims == tuple(sizes[lab] for lab in half.layout)
+            assert state.layout.labels == half.layout
+            assert state.amplitudes.tobytes() == want.tobytes()
+
+
+# Seeded plans (tag, (d_C, d_A, d_B, d_R), cut) on which a half with d_kept >= 2 takes the
+# Householder branch of the alignment, found among random states with d_C in 8..18 and A, B, R
+# in 1..4.
+HOUSEHOLDER_PLANS = [
+    (7, (18, 3, 3, 4), (3, 2, 3)), (10, (16, 4, 2, 1), (4, 4, 1)), (11, (9, 1, 4, 2), (3, 1, 3)),
+    (17, (16, 4, 1, 1), (2, 2, 4)), (28, (15, 4, 1, 4), (5, 3, 1)), (31, (14, 4, 2, 1), (2, 7, 1)),
+    (36, (12, 1, 2, 2), (2, 2, 3)), (44, (15, 1, 4, 2), (3, 5, 1)), (51, (12, 4, 4, 2), (2, 1, 6)),
+]
+
+
+class TestHouseholderExtension:
+    """The isometric extension off the cross operator's support, as the plans pick it today."""
+
+    def test_factors_follow_the_signed_zeros_of_a_kron_built_n(self):
+        # A reflector's sign follows the sign of an exactly zero pivot, so the extension depends on
+        # the signed zeros of N = I/sqrt(d) (x) S.  The plan's factors must be those of np.kron's N;
+        # the same N with all-positive zeros gives other (equally valid) factors.
+        positive_zeros_agree = []
+        for tag, dims, cut in HOUSEHOLDER_PLANS:
+            phi = random_pure_state(SystemLayout.of(*zip("CABR", dims)), SeededStream(400).derive(tag))
+            p = CutPartition(*cut)
+            plan = build_plan(phi, PRESET_ROLES, p, stream=SeededStream(401).derive(tag))
+            sizes = _sizes(dims, p)
+            halves = [(h, iso) for h, iso in ((_ENCODER, plan.encoder), (_DECODER, plan.decoder))
+                      if iso.y is not None and sizes[h.shared[0]] >= 2]
+            assert halves
+            for half, iso in halves:
+                d = sizes[half.shared[0]]
+                m, s = _factors(*_condition(half, plan.phi), p, plan.unitary.matrix[None])
+                n = np.kron(np.eye(d, dtype=complex) / np.sqrt(d), s)
+
+                def factors(n):
+                    k, _, _ = _align(m[0], n, _layout(half.own, sizes), _layout(half.out, sizes))
+                    return [f.tobytes() for f in (k.z, k.y, k.t)]
+
+                want = [f.tobytes() for f in (iso.z, iso.y, iso.t)]
+                assert factors(n) == want
+                positive_zeros_agree.append(factors(n + 0.0) == want)
+        assert not all(positive_zeros_agree)

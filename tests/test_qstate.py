@@ -288,6 +288,16 @@ class TestValidation:
         with pytest.raises(InvariantViolation):
             LinearMap(qubits("X"), qubits("Y"), np.array([[1, 1], [0, 1]]), "unitary")
 
+    def test_defect_past_the_first_gram_block_rejected(self):
+        # The isometry check takes a^H a in blocks of 256 rows; a defect in the last block counts too.
+        rng = np.random.default_rng(7)
+        q, _ = np.linalg.qr(rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300)))
+        layout = SystemLayout.of(("X", 300))
+        LinearMap(layout, layout, q, "unitary")
+        q[:, 299] *= 1 + 1e-6  # changes only the entry (299, 299) of q^H q
+        with pytest.raises(InvariantViolation):
+            LinearMap(layout, layout, q, "unitary")
+
     # A NaN compares false with every tolerance, so each check must fail on it.
     @pytest.mark.parametrize("index", [0, 1])
     def test_nan_amplitude_rejected(self, index):
