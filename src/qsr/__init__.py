@@ -37,7 +37,6 @@ from .metrics import (
 from .protocol import (
     ProtocolPlan,
     ProtocolReport,
-    ReferencePair,
     build_plan,
     eta_bounds,
     run_forward,

@@ -333,14 +333,17 @@ def cmd_iid(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    rows = []
+    if args.sweep is not None:
+        sys.stdout.write(",".join(_CSV_FIELDS) + "\n")
     for spec in specs:
         t0 = time.perf_counter()
         rep = iid_experiment(state, roles, spec, stream=stream.derive(spec.n), guard=args.guard)
         elapsed = time.perf_counter() - t0
         results = _iid_results(rep)
         if args.sweep is not None:
-            rows.append(results)
+            sys.stdout.write(",".join(repr(float(results[f])) if isinstance(results[f], float) else str(results[f])
+                                      for f in _CSV_FIELDS) + "\n")
+            sys.stdout.flush()
         else:
             _emit(_report(
                 "iid",
@@ -350,11 +353,6 @@ def cmd_iid(args: argparse.Namespace) -> int:
                 results,
                 {"total_s": elapsed},
             ))
-    if args.sweep is not None:
-        sys.stdout.write(",".join(_CSV_FIELDS) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(repr(float(row[f])) if isinstance(row[f], float) else str(row[f])
-                                      for f in _CSV_FIELDS) + "\n")
     return 0
 
 

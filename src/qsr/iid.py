@@ -32,6 +32,7 @@ from .protocol import (
     ProtocolPlan,
     ProtocolReport,
     _assemble,
+    _eta,
     _plan_entries,
     canonicalize,
     run_forward,
@@ -56,7 +57,7 @@ class InfeasibleAllocationError(RuntimeError):
 
 
 class DegenerateProjectionError(RuntimeError):
-    """A typical projection annihilated the state."""
+    """A typical projection annihilated the state, or a typical set is empty."""
 
 
 _MAX_AXES = 64  # numpy's limit on array axes; phi^(x)n takes one per subsystem copy
@@ -360,7 +361,8 @@ def iid_experiment(
     single-copy spectra) would exceed ``guard`` entries, when a projected
     group's type enumeration would (``typical_stats`` walks comb(n + d - 1,
     d - 1) count vectors of d entries), or when the tensor power would
-    exceed numpy's limit on array axes.
+    exceed numpy's limit on array axes; refuses an empty typical set of the
+    C copies before allocating the cut.
     """
     canon = canonicalize(phi, roles)
     check_guard(f"phi^(x){spec.n}", canon.layout.total_dim ** spec.n, guard)
@@ -389,6 +391,8 @@ def iid_experiment(
     # The cut and the protocol's largest array follow from single-copy
     # spectra, so both are settled before phi^(x)n exists.
     c_vecs, stats, c_mask = basis("C")
+    if stats.rank == 0:
+        raise DegenerateProjectionError(f"C^(x){n} has an empty typical set at delta = {spec.delta}")
     allocation = allocate_partition(stats.rank, rates, spec)
     p = allocation.partition
     check_guard("the protocol's largest array", _plan_entries((p.total, *(d**n for d in canon.dims[1:])), p), guard)
@@ -412,7 +416,7 @@ def iid_experiment(
     plan = _assemble(omega, hat, check, IDENTITY_ROLES, p, search_budget, stream.derive(1))
     report = run_forward(omega, plan)
 
-    tail = 4.0 * (2.0 * 2.0 ** (-n * (2.0 * allocation.eta_slack + 3.0 * spec.t * spec.delta))) ** 0.25
+    tail = 2.0 * _eta(2.0 ** (-n * (2.0 * allocation.eta_slack + 3.0 * spec.t * spec.delta)))
     return IidExperimentReport(
         n=n,
         success_probability=p_success,

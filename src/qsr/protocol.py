@@ -46,7 +46,7 @@ from .qstate import (
     permute_unchecked,
 )
 from .sampling import SeededStream, as_generator
-from .uhlmann import FactoredIsometry, UhlmannResult, _align as _uhlmann_align
+from .uhlmann import UhlmannResult, _align as _uhlmann_align
 
 def canonicalize(phi: PureState, roles: Mapping[str, str]) -> PureState:
     """Merge role groups into the canonical four-subsystem layout C, A, B, R (``phi`` itself if it is)."""
@@ -59,37 +59,6 @@ def canonicalize(phi: PureState, roles: Mapping[str, str]) -> PureState:
 
 
 IDENTITY_ROLES = {r: r for r in ROLES}
-
-
-@dataclass(frozen=True)
-class ReferencePair:
-    """Two reference states for the encoder/decoder constructions.
-
-    gamma1/gamma2 are twice the trace distance from the redistributed state to
-    the respective reference (0 when the references are the state itself).
-    """
-
-    hat: PureState
-    check: PureState
-    gamma1: float
-    gamma2: float
-
-    def __post_init__(self) -> None:
-        for g in (self.gamma1, self.gamma2):
-            if not -1e-12 <= g <= 4.0 + 1e-9:
-                raise InvariantViolation(f"gamma {g} outside [0, 4]")
-
-    @staticmethod
-    def for_state(phi: PureState, hat: PureState, check: PureState) -> "ReferencePair":
-        if hat.layout != phi.layout or check.layout != phi.layout:
-            raise LayoutError("reference states must share the redistributed state's layout")
-
-        def gamma(ref: PureState) -> float:
-            if np.array_equal(ref.amplitudes, phi.amplitudes):
-                return 0.0
-            return 2.0 * pure_trace_distance(phi.amplitudes, ref.amplitudes)
-
-        return ReferencePair(hat, check, gamma(hat), gamma(check))
 
 
 @dataclass(frozen=True)
@@ -151,6 +120,15 @@ def _eta(bound: float) -> float:
     return 2.0 * (2.0 * bound) ** 0.25
 
 
+def _gamma(phi: PureState, ref: PureState) -> float:
+    """Twice the trace distance from ``phi`` to the reference ``ref`` (0 when ``ref`` is ``phi`` itself)."""
+    if ref.layout != phi.layout:
+        raise LayoutError("reference states must share the redistributed state's layout")
+    if np.array_equal(ref.amplitudes, phi.amplitudes):
+        return 0.0
+    return 2.0 * pure_trace_distance(phi.amplitudes, ref.amplitudes)
+
+
 def _entangled(x: np.ndarray, d: int) -> np.ndarray:
     """I/sqrt(d) (x) x for a matrix ``x``, by one broadcast product.
 
@@ -190,43 +168,53 @@ def _plan_entries(dims: Sequence[int], p: CutPartition) -> int:
     )
 
 
-def eta_bounds(refs: ReferencePair, p: CutPartition) -> tuple[float, float]:
+def eta_bounds(hat: PureState, check: PureState, p: CutPartition) -> tuple[float, float]:
     """Fourth-root decoupling bounds for the encoder (eta1) and decoder (eta2).
 
     eta1 = 2 * (2 d_C d_BR Tr(hat_CBR^2) / d_{C1 C3}^2)^(1/4)   (decouple C2 from B R)
     eta2 = 2 * (2 d_C d_AR Tr(check_CAR^2) / d_{C2 C3}^2)^(1/4) (decouple C1 from A R)
     """
-    hat, check = (canonicalize(ref, IDENTITY_ROLES) for ref in (refs.hat, refs.check))
+    hat, check = (canonicalize(ref, IDENTITY_ROLES) for ref in (hat, check))
     return _eta(_bound(*_condition(_ENCODER, hat), p)), _eta(_bound(*_condition(_DECODER, check), p))
 
 
 @dataclass(frozen=True)
 class ProtocolPlan:
-    """Assembled protocol: the unitary, both isometries, and all bounds."""
+    """Assembled protocol: the unitary, both alignments and the bounds.
+
+    gamma1/gamma2 are twice the trace distance from ``phi`` to the hat/check
+    reference (0 when the reference is ``phi`` itself); Delta_i = gamma_i + eta_i.
+    """
 
     partition: CutPartition
     unitary: LinearMap
-    encoder: FactoredIsometry  # W: C1 C3 A -> A2 C'' A''
-    decoder: FactoredIsometry  # V: C2 C3 B -> B1 C' B'
+    encoder_alignment: UhlmannResult  # W: C1 C3 A -> A2 C'' A''; eps_in of the C2-from-BR condition
+    decoder_alignment: UhlmannResult  # V: C2 C3 B -> B1 C' B'; eps_in of the C1-from-AR condition
     eta1: float
     eta2: float
-    delta1: float
-    delta2: float
-    measured_eps1: float  # residual of the C2-from-BR condition (encoder side)
-    measured_eps2: float  # residual of the C1-from-AR condition (decoder side)
     gamma1: float
     gamma2: float
     accepted: bool
     iterations_used: int
     phi: PureState  # canonical (C, A, B, R) state the plan was built for
     roles: Mapping[str, str]
-    refs: ReferencePair
-    encoder_alignment: UhlmannResult
-    decoder_alignment: UhlmannResult
+
+    def __post_init__(self) -> None:
+        for g in (self.gamma1, self.gamma2):
+            if not -1e-12 <= g <= 4.0 + 1e-9:
+                raise InvariantViolation(f"gamma {g} outside [0, 4]")
+
+    @property
+    def measured_eps1(self) -> float:
+        return self.encoder_alignment.epsilon_in
+
+    @property
+    def measured_eps2(self) -> float:
+        return self.decoder_alignment.epsilon_in
 
     @property
     def analytic_bound(self) -> float:
-        return self.delta1 + self.delta2
+        return (self.gamma1 + self.eta1) + (self.gamma2 + self.eta2)
 
     @property
     def measured_bound(self) -> float:
@@ -289,7 +277,7 @@ def _assemble(
     search_budget: int, stream: "SeededStream | np.random.Generator | None",
 ) -> ProtocolPlan:
     """:func:`build_plan` on canonical states, after the caller's size check."""
-    pair = ReferencePair.for_state(canon, hat, check)
+    gamma1, gamma2 = _gamma(canon, hat), _gamma(canon, check)
     if stream is None:
         stream = SeededStream(0)
     rng = as_generator(stream)
@@ -304,27 +292,10 @@ def _assemble(
     # (keep C1); eta1 bounds the former, eta2 the latter.
     w_res = _align(_ENCODER, hat, u.matrix, p, res.eps2)
     v_res = _align(_DECODER, check, u.matrix, p, res.eps1)
-    eta1, eta2 = _eta(beta), _eta(alpha)
     return ProtocolPlan(
-        partition=p,
-        unitary=u,
-        encoder=w_res.isometry,
-        decoder=v_res.isometry,
-        eta1=eta1,
-        eta2=eta2,
-        delta1=pair.gamma1 + eta1,
-        delta2=pair.gamma2 + eta2,
-        measured_eps1=res.eps2,
-        measured_eps2=res.eps1,
-        gamma1=pair.gamma1,
-        gamma2=pair.gamma2,
-        accepted=res.accepted,
-        iterations_used=iters,
-        phi=canon,
-        roles=dict(roles),
-        refs=pair,
-        encoder_alignment=w_res,
-        decoder_alignment=v_res,
+        partition=p, unitary=u, encoder_alignment=w_res, decoder_alignment=v_res,
+        eta1=_eta(beta), eta2=_eta(alpha), gamma1=gamma1, gamma2=gamma2,
+        accepted=res.accepted, iterations_used=iters, phi=canon, roles=dict(roles),
     )
 
 
@@ -346,7 +317,8 @@ def _run(start: np.ndarray, undo: _Half, redo: _Half, plan: ProtocolPlan, sizes:
     The result is compared with the other half's pair vector of the plan's state.  The ledger is
     log2 d3 qubits sent, the start's ebit pair consumed and the target's distilled.
     """
-    undo_iso, redo_iso = (plan.encoder if h is _ENCODER else plan.decoder for h in (undo, redo))
+    undo_iso, redo_iso = ((plan.encoder_alignment if h is _ENCODER else plan.decoder_alignment).isometry
+                          for h in (undo, redo))
 
     def dims(labels: tuple[str, ...]) -> list[int]:
         return [sizes[lab] for lab in labels]

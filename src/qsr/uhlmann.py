@@ -26,8 +26,8 @@ from .qstate import (
     SystemLayout,
     _check_isometry,
     _gram_rows,
+    _matricize,
     check_guard,
-    permute_unchecked,
 )
 
 def _shared_first(
@@ -56,10 +56,8 @@ def _shared_first(
     d_c = nu.layout.dim_of_set(nu_own)
     if d_b > d_c:
         raise LayoutError(f"purifier dim {d_b} exceeds target dim {d_c}; embed first")
-    d_s = mu.layout.dim_of_set(mu_shared)
-    _, mu_vec = permute_unchecked(mu.layout, mu.amplitudes, mu_shared + mu_own)
-    _, nu_vec = permute_unchecked(nu.layout, nu.amplitudes, mu_shared + nu_own)
-    return mu_vec.reshape(d_s, d_b), nu_vec.reshape(d_s, d_c), mu_own, nu_own
+    m, n = (_matricize(state.amplitudes, state.dims, state.layout.axes(mu_shared)) for state in (mu, nu))
+    return m, n, mu_own, nu_own
 
 
 def cross_operator(mu: PureState, nu: PureState, shared: "list[str] | tuple[str, ...]") -> np.ndarray:

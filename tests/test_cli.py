@@ -181,6 +181,22 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "guard" in err and "Traceback" not in err
 
+    def test_empty_typical_set_is_two(self, capsys):
+        # At the default delta = 0.1 no string of tilted-CR's C^(x)3 is typical.
+        code, out, err = run_cli(capsys, "iid", "--state", "tilted-CR", "--n", "3")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "empty typical set" in err and "Traceback" not in err
+
+    def test_refused_sweep_keeps_the_finished_rows(self, capsys):
+        # phi^(x)4 of bell-CR has 256 entries, above a guard of 100: n = 1..3 run, n = 4 is refused.
+        argv = ("iid", "--state", "bell-CR", "--delta", "0.05", "--guard", "100")
+        code, out, err = run_cli(capsys, *argv, "--sweep", "1..4")
+        assert code == 2 and err.count("\n") == 1 and "guard" in err
+        lines = out.splitlines()
+        assert len(lines) == 4 and lines[0].startswith("n,")
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]
+        assert run_cli(capsys, *argv, "--sweep", "1..3") == (0, out, "")
+
     def test_infeasible_allocation_is_two(self, capsys):
         code, _, err = run_cli(capsys, "iid", "--state", "tilted-CR", "--n", "3",
                                "--delta", "0.4", "--seed", "1")

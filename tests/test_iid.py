@@ -341,6 +341,13 @@ class TestExperimentDriver:
         with pytest.raises(GuardExceededError, match=r"type enumeration of A\^\(x\)2 needs 4020000 entries"):
             iid_experiment(phi, PRESET_ROLES, TypicalSpec(n=2, delta=0.5), SeededStream(134))
 
+    def test_empty_c_typical_set_is_refused(self):
+        # No string of tilted-CR's C^(x)3 lies in the delta = 0.1 window: refused before allocating.
+        phi, spec = preset_state("tilted-CR"), TypicalSpec(n=3, delta=0.1)
+        assert typical_stats(partial_trace(phi, ["C"]), spec).rank == 0
+        with pytest.raises(DegenerateProjectionError, match="empty typical set"):
+            iid_experiment(phi, PRESET_ROLES, spec, SeededStream(135))
+
     def test_determinism(self):
         a = iid_experiment(preset_state("tilted-CR"), PRESET_ROLES,
                            TypicalSpec(n=4, delta=0.4), SeededStream(126))

@@ -13,9 +13,10 @@ from qsr.presets import PRESET_ROLES, preset_state
 from qsr.protocol import (
     _DECODER,
     _ENCODER,
-    ReferencePair,
+    ProtocolPlan,
     _condition,
     _entangled,
+    _gamma,
     _layout,
     _plan_entries,
     _sizes,
@@ -28,6 +29,7 @@ from qsr.protocol import (
     run_reverse,
 )
 from qsr.qstate import (
+    InvariantViolation,
     LinearMap,
     PureState,
     SystemLayout,
@@ -108,16 +110,15 @@ class TestEtaBounds:
         # hat marginal on C B R is pure (Phi_CB, trivial R), d_BR = d_C = 2,
         # d_{C1 C3} = 1: eta1 = 2 * (2*2*2)^(1/4) = 2 * 8^(1/4).
         phi = preset_state("bell-CB")
-        refs = ReferencePair.for_state(phi, phi, phi)
-        eta1, _ = eta_bounds(refs, CutPartition(1, 2, 1))
+        eta1, _ = eta_bounds(phi, phi, CutPartition(1, 2, 1))
         assert abs(eta1 - 2.0 * 8.0**0.25) < 1e-12
         assert abs(eta1 - 3.3635856610148585) < 1e-9  # vacuous regime, > 2
 
     def test_fourth_root_scaling(self):
         phi = _random_phi(0)
-        refs = ReferencePair.for_state(*(canonicalize(phi, PRESET_ROLES),) * 3)
-        e_small, _ = eta_bounds(refs, CutPartition(1, 4, 1))  # d13 = 1
-        e_large, _ = eta_bounds(refs, CutPartition(2, 1, 2))  # d13 = 4
+        refs = (canonicalize(phi, PRESET_ROLES),) * 2
+        e_small, _ = eta_bounds(*refs, CutPartition(1, 4, 1))  # d13 = 1
+        e_large, _ = eta_bounds(*refs, CutPartition(2, 1, 2))  # d13 = 4
         assert abs(e_small / e_large - 2.0) < 1e-9  # quadrupled d13 halves eta1
 
     def test_maximally_mixed_marginal_formula(self):
@@ -130,8 +131,7 @@ class TestEtaBounds:
         )
         roles = {"C": "C", "A1": "A", "A2": "A", "A3": "A", "B": "B", "R": "R"}
         canon = canonicalize(phi, roles)
-        refs = ReferencePair.for_state(canon, canon, canon)
-        eta1, _ = eta_bounds(refs, CutPartition(2, 1, 1))  # d13 = 2 = d_C
+        eta1, _ = eta_bounds(canon, canon, CutPartition(2, 1, 1))  # d13 = 2 = d_C
         assert abs(eta1 - 2.0 * 2.0**0.25 / np.sqrt(2.0)) < 1e-9
 
 
@@ -150,19 +150,20 @@ class TestBuildPlan:
     def test_identical_refs_give_delta_equals_eta(self):
         phi = _random_phi(1)
         plan = build_plan(phi, PRESET_ROLES, CutPartition(2, 2, 1), stream=SeededStream(94))
-        assert plan.delta1 == plan.gamma1 + plan.eta1 == plan.eta1
-        assert plan.delta2 == plan.eta2
+        assert plan.gamma1 + plan.eta1 == plan.eta1
+        assert plan.gamma2 + plan.eta2 == plan.eta2
 
     def test_encoder_decoder_shapes(self):
         phi = _random_phi(2)
         p = CutPartition(2, 1, 2)
         plan = build_plan(phi, PRESET_ROLES, p, stream=SeededStream(95))
-        assert plan.encoder.input_layout.labels == ("C1", "C3", "A")
-        assert plan.encoder.output_layout.labels == ("A2", "Cpp", "App")
-        assert plan.decoder.input_layout.labels == ("C2", "C3", "B")
-        assert plan.decoder.output_layout.labels == ("B1", "Cp", "Bp")
-        assert plan.encoder.input_layout.total_dim == p.d1 * p.d3 * 2
-        assert plan.encoder.output_layout.total_dim == p.d2 * 4 * 2
+        encoder, decoder = plan.encoder_alignment.isometry, plan.decoder_alignment.isometry
+        assert encoder.input_layout.labels == ("C1", "C3", "A")
+        assert encoder.output_layout.labels == ("A2", "Cpp", "App")
+        assert decoder.input_layout.labels == ("C2", "C3", "B")
+        assert decoder.output_layout.labels == ("B1", "Cp", "Bp")
+        assert encoder.input_layout.total_dim == p.d1 * p.d3 * 2
+        assert encoder.output_layout.total_dim == p.d2 * 4 * 2
 
     def test_encoder_aligns_rotated_reference(self):
         # || W (U.hat) - Phi_{C2 A2} (x) hat || <= 2 sqrt(eps_hat).
@@ -170,6 +171,27 @@ class TestBuildPlan:
         plan = build_plan(phi, PRESET_ROLES, CutPartition(1, 2, 2), stream=SeededStream(96))
         assert plan.encoder_alignment.distance_out <= 2.0 * np.sqrt(plan.measured_eps1) + 1e-8
         assert plan.decoder_alignment.distance_out <= 2.0 * np.sqrt(plan.measured_eps2) + 1e-8
+
+    def test_one_field_per_quantity(self):
+        # W, V and each half's eps live in the alignments; Delta_i = gamma_i + eta_i is derived.
+        assert [f.name for f in dataclasses.fields(ProtocolPlan)] == [
+            "partition", "unitary", "encoder_alignment", "decoder_alignment", "eta1", "eta2",
+            "gamma1", "gamma2", "accepted", "iterations_used", "phi", "roles",
+        ]
+        phi = _random_phi(4)
+        plan = build_plan(phi, PRESET_ROLES, CutPartition(1, 2, 2), refs=(_random_phi(5), phi),
+                          stream=SeededStream(97))
+        assert plan.measured_eps1 == plan.encoder_alignment.epsilon_in
+        assert plan.measured_eps2 == plan.decoder_alignment.epsilon_in
+        assert plan.analytic_bound == (plan.gamma1 + plan.eta1) + (plan.gamma2 + plan.eta2)
+
+    def test_gamma_outside_its_range_is_refused(self):
+        plan = build_plan(_random_phi(6), PRESET_ROLES, CutPartition(2, 2, 1), stream=SeededStream(98))
+        for gamma in (4.5, -0.1):
+            with pytest.raises(InvariantViolation):
+                dataclasses.replace(plan, gamma1=gamma)
+            with pytest.raises(InvariantViolation):
+                dataclasses.replace(plan, gamma2=gamma)
 
 
 class TestForwardRuns:
@@ -287,16 +309,15 @@ class TestSymmetries:
 class TestReferenceStates:
     def test_gamma_zero_for_identical_references(self):
         phi = canonicalize(_random_phi(50), PRESET_ROLES)
-        refs = ReferencePair.for_state(phi, phi, phi)
-        assert refs.gamma1 == 0.0 and refs.gamma2 == 0.0
+        assert _gamma(phi, phi) == 0.0
 
     def test_gamma_range_and_value(self):
         phi = canonicalize(_random_phi(51), PRESET_ROLES)
         other = canonicalize(_random_phi(52), PRESET_ROLES)
-        refs = ReferencePair.for_state(phi, other, phi)
+        gamma = _gamma(phi, other)
         ov = abs(np.vdot(phi.amplitudes, other.amplitudes)) ** 2
-        assert abs(refs.gamma1 - 4.0 * np.sqrt(1.0 - ov)) < 1e-9
-        assert 0.0 <= refs.gamma1 <= 4.0
+        assert abs(gamma - 4.0 * np.sqrt(1.0 - ov)) < 1e-9
+        assert 0.0 <= gamma <= 4.0
 
     def test_nontrivial_references_enter_bounds(self):
         phi = canonicalize(_random_phi(53), PRESET_ROLES)
@@ -306,7 +327,7 @@ class TestReferenceStates:
         plan = build_plan(phi, PRESET_ROLES, CutPartition(1, 2, 2), refs=(hat, phi),
                           stream=SeededStream(111))
         assert plan.gamma1 > 0.0 and plan.gamma2 == 0.0
-        assert plan.delta1 == plan.gamma1 + plan.eta1
+        assert plan.analytic_bound == (plan.gamma1 + plan.eta1) + plan.eta2
         rep = run_forward(phi, plan)
         assert rep.distance_to_target <= min(2.0, rep.measured_bound) + 1e-8
 
@@ -372,16 +393,16 @@ class TestHalvesAgainstOracles:
                 alpha = self._bound(check, p, [0, 1, 3], p.d1)
                 eta1, eta2 = 2.0 * (2.0 * beta) ** 0.25, 2.0 * (2.0 * alpha) ** 0.25
                 assert abs(plan.eta1 - eta1) <= 1e-14 and abs(plan.eta2 - eta2) <= 1e-14
-                assert np.allclose(eta_bounds(plan.refs, p), (eta1, eta2), rtol=0.0, atol=1e-14)
+                assert np.allclose(eta_bounds(hat, check, p), (eta1, eta2), rtol=0.0, atol=1e-14)
                 # The same conditions through the density-operator API of qsr.decoupling.
                 hat_cbr, check_car = partial_trace(hat, ["C", "B", "R"]), partial_trace(check, ["C", "A", "R"])
                 assert abs(plan.measured_eps1 - residual(hat_cbr, plan.unitary, p, KEEP_C2)) <= 1e-12
                 assert abs(plan.measured_eps2 - residual(check_car, plan.unitary, p, KEEP_C1)) <= 1e-12
                 etas = (2.0 * (2.0 * single_bound(rho, p, keep)) ** 0.25
                         for rho, keep in ((hat_cbr, KEEP_C2), (check_car, KEEP_C1)))
-                assert np.allclose(eta_bounds(plan.refs, p), tuple(etas), rtol=0.0, atol=1e-12)
-                assert plan.delta1 == plan.gamma1 + plan.eta1 > plan.eta1
-                assert plan.delta2 == plan.gamma2 + plan.eta2 > plan.eta2
+                assert np.allclose(eta_bounds(hat, check, p), tuple(etas), rtol=0.0, atol=1e-12)
+                assert plan.gamma1 + plan.eta1 > plan.eta1
+                assert plan.gamma2 + plan.eta2 > plan.eta2
 
 
 class TestIsometryExtension:
@@ -393,15 +414,15 @@ class TestIsometryExtension:
             phi = canonicalize(_random_phi(300 + tag), PRESET_ROLES)
             for cut in ALL_PARTITIONS_OF_4:
                 plan = build_plan(phi, PRESET_ROLES, CutPartition(*cut), stream=SeededStream(301).derive(tag))
-                for iso, labels in ((plan.encoder, ("C1", "C3", "A", "A2", "Cpp", "App")),
-                                    (plan.decoder, ("C2", "C3", "B", "B1", "Cp", "Bp"))):
-                    assert iso.input_layout.labels + iso.output_layout.labels == labels
+                alignments = (plan.encoder_alignment, plan.decoder_alignment)
+                for res, labels in zip(alignments, (("C1", "C3", "A", "A2", "Cpp", "App"),
+                                                    ("C2", "C3", "B", "B1", "Cp", "Bp"))):
+                    assert res.isometry.input_layout.labels + res.isometry.output_layout.labels == labels
                 w, v = protocol_isometries(phi.amplitudes.reshape(phi.dims), plan.unitary.matrix, cut)
-                dense = dataclasses.replace(
-                    plan,
-                    encoder=FactoredIsometry(plan.encoder.input_layout, plan.encoder.output_layout, w),
-                    decoder=FactoredIsometry(plan.decoder.input_layout, plan.decoder.output_layout, v),
-                )
+                enc, dec = (dataclasses.replace(res, isometry=FactoredIsometry(
+                                res.isometry.input_layout, res.isometry.output_layout, k))
+                            for res, k in zip(alignments, (w, v)))
+                dense = dataclasses.replace(plan, encoder_alignment=enc, decoder_alignment=dec)
                 for run in (lambda q: run_forward(phi, q), run_reverse):
                     got, want = run(dense), run(plan)
                     assert abs(got.distance_to_target - want.distance_to_target) <= 1e-12
@@ -436,7 +457,7 @@ class TestRunsAgainstOracle:
     @staticmethod
     def _check(plan):
         phi = plan.phi.amplitudes
-        w, v = (iso.to_linear_map() for iso in (plan.encoder, plan.decoder))
+        w, v = (res.isometry.to_linear_map() for res in (plan.encoder_alignment, plan.decoder_alignment))
         dims = dict(w.input_layout.subsystems + w.output_layout.subsystems + v.input_layout.subsystems
                     + v.output_layout.subsystems + (("R", plan.phi.dims[3]),))
         maps = {m: (m.matrix, m.input_layout.labels, m.output_layout.labels) for m in (w, v)}
@@ -467,7 +488,7 @@ class TestRunsAgainstOracle:
 
     def test_householder_branch_of_an_iid_plan(self):
         rep = iid_experiment(preset_state("bell-CA"), PRESET_ROLES, TypicalSpec(n=5, delta=0.05), SeededStream(90))
-        assert any(iso.y is not None for iso in (rep.plan.encoder, rep.plan.decoder))
+        assert any(res.isometry.y is not None for res in (rep.plan.encoder_alignment, rep.plan.decoder_alignment))
         self._check(rep.plan)
 
 
@@ -540,8 +561,9 @@ class TestHouseholderExtension:
             p = CutPartition(*cut)
             plan = build_plan(phi, PRESET_ROLES, p, stream=SeededStream(401).derive(tag))
             sizes = _sizes(dims, p)
-            halves = [(h, iso) for h, iso in ((_ENCODER, plan.encoder), (_DECODER, plan.decoder))
-                      if iso.y is not None and sizes[h.shared[0]] >= 2]
+            halves = [(h, res.isometry) for h, res in ((_ENCODER, plan.encoder_alignment),
+                                                       (_DECODER, plan.decoder_alignment))
+                      if res.isometry.y is not None and sizes[h.shared[0]] >= 2]
             assert halves
             for half, iso in halves:
                 d = sizes[half.shared[0]]

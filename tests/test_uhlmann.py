@@ -294,10 +294,10 @@ class TestFactoredIsometry:
             phi = random_pure_state(layout, SeededStream(88).derive(tag))
             for cut in [(1, 1, 4), (1, 2, 2), (1, 4, 1), (2, 1, 2), (2, 2, 1), (4, 1, 1)]:
                 plan = build_plan(phi, PRESET_ROLES, CutPartition(*cut), stream=SeededStream(89).derive(tag))
-                isos += [plan.encoder, plan.decoder]
+                isos += [plan.encoder_alignment.isometry, plan.decoder_alignment.isometry]
         for preset in ("bell-CA", "bell-CB", "ghz-CBR"):
             rep = iid_experiment(preset_state(preset), PRESET_ROLES, TypicalSpec(n=5, delta=0.05), SeededStream(90))
-            isos += [rep.plan.encoder, rep.plan.decoder]
+            isos += [rep.plan.encoder_alignment.isometry, rep.plan.decoder_alignment.isometry]
         assert {iso.y is None for iso in isos} == {True, False}
         for iso in isos:
             _assert_matches_dense(iso, rng)
@@ -323,7 +323,7 @@ class TestFactoredIsometry:
         # bell-CA n = 6 runs with its 65536 x 256 encoder kept factored; only
         # the dense export would exceed the guard.
         rep = iid_experiment(preset_state("bell-CA"), PRESET_ROLES, TypicalSpec(n=6, delta=0.05), SeededStream(91))
-        enc = rep.plan.encoder
+        enc = rep.plan.encoder_alignment.isometry
         assert enc.output_layout.total_dim * enc.input_layout.total_dim > DEFAULT_GUARD
         with pytest.raises(GuardExceededError):
             enc.to_linear_map()
