@@ -46,7 +46,6 @@ from .qstate import (
     SystemLayout,
     check_guard,
     permute_unchecked,
-    vector_apply,
     vector_partial_trace,
 )
 from .sampling import SeededStream
@@ -181,11 +180,10 @@ def tensor_power(phi: PureState, n: int) -> PureState:
 
 
 def _rotate_copies(vec: np.ndarray, n: int, u: np.ndarray) -> np.ndarray:
-    """Apply ``u`` to each of the n leading copy axes of ``vec``, copy 1 first."""
+    """Apply ``u`` to each of the n leading copy axes of ``vec``, copy 1 first: one stacked product per axis."""
     d = u.shape[0]
-    dims = (d,) * n + (vec.size // d**n,)
     for i in range(n):
-        vec, _ = vector_apply(vec, dims, (i,), u, (d,))
+        vec = np.matmul(u, vec.reshape(d**i, d, -1)).reshape(-1)
     return vec
 
 

@@ -61,43 +61,35 @@ def canonicalize(phi: PureState, roles: Mapping[str, str]) -> PureState:
 IDENTITY_ROLES = {r: r for r in ROLES}
 
 
-@dataclass(frozen=True)
-class _Half:
-    """One half of the protocol as two label tuples.
-
-    ``shared``: the kept factor of C, then the side U decouples it from; ``layout``: the order of the
-    half's pair state.  Its isometry maps ``own`` (the rest of the C-split reference) to ``out``.
-    """
-
-    shared: tuple[str, ...]
-    layout: tuple[str, ...]
-
-    @property
-    def own(self) -> tuple[str, ...]:
-        return tuple(lab for lab in ("C1", "C2", "C3", "A", "B", "R") if lab not in self.shared)
-
-    @property
-    def out(self) -> tuple[str, ...]:
-        return tuple(lab for lab in self.layout if lab not in self.shared)
-
-
-# The encoder W is built from the hat reference, the decoder V from the check
-# reference; each half is the time reverse of the other.
-_ENCODER = _Half(("C2", "B", "R"), ("C2", "A2", "Cpp", "App", "B", "R"))
-_DECODER = _Half(("C1", "A", "R"), ("C1", "B1", "Cp", "A", "Bp", "R"))
-
-
 def _order(labels: Sequence[str], source: Sequence[str]) -> tuple[int, ...]:
     return tuple(source.index(lab) for lab in labels)
 
 
-# A run's three permutations: pair-state order to shared-first (the shared
-# systems, then the isometry's output) and back, and the C3 handover between
-# the halves' shared-first inputs, the same in both directions.
-_TO_SHARED_FIRST = {h: _order(h.shared + h.out, h.layout) for h in (_ENCODER, _DECODER)}
-_TO_LAYOUT = {h: _order(h.layout, h.shared + h.out) for h in (_ENCODER, _DECODER)}
-_HANDOVER = _order(_DECODER.shared + _DECODER.own, _ENCODER.shared + _ENCODER.own)
-assert _HANDOVER == _order(_ENCODER.shared + _ENCODER.own, _DECODER.shared + _DECODER.own)
+class _Half:
+    """One half of the protocol as two label tuples; every label order a run needs is derived once, here.
+
+    ``shared``: the kept factor of C, then the side U decouples it from; ``layout``: the order of the
+    half's pair state.  Its isometry maps ``own`` (the rest of the C-split reference) to ``out``; a
+    run's shared-first orders are ``inputs`` and ``outputs``, and ``to_shared_first``/``to_layout``
+    permute between ``layout`` and ``outputs``.
+    """
+
+    def __init__(self, shared: tuple[str, ...], layout: tuple[str, ...]) -> None:
+        self.shared, self.layout = shared, layout
+        self.own = tuple(lab for lab in ("C1", "C2", "C3", "A", "B", "R") if lab not in shared)
+        self.out = tuple(lab for lab in layout if lab not in shared)
+        self.inputs, self.outputs = shared + self.own, shared + self.out
+        self.to_shared_first, self.to_layout = _order(self.outputs, layout), _order(layout, self.outputs)
+
+
+# The encoder W is built from the hat reference, the decoder V from the check
+# reference; each half is the time reverse of the other.  A run hands C3 over
+# between the halves' shared-first inputs by one permutation, the same in both
+# directions.
+_ENCODER = _Half(("C2", "B", "R"), ("C2", "A2", "Cpp", "App", "B", "R"))
+_DECODER = _Half(("C1", "A", "R"), ("C1", "B1", "Cp", "A", "Bp", "R"))
+_HANDOVER = _order(_DECODER.inputs, _ENCODER.inputs)
+assert _HANDOVER == _order(_ENCODER.inputs, _DECODER.inputs)
 
 
 def _sizes(dims: Sequence[int], p: CutPartition) -> dict[str, int]:
@@ -323,11 +315,11 @@ def _run(start: np.ndarray, undo: _Half, redo: _Half, plan: ProtocolPlan, sizes:
     def dims(labels: tuple[str, ...]) -> list[int]:
         return [sizes[lab] for lab in labels]
 
-    vec = start.reshape(dims(undo.layout)).transpose(_TO_SHARED_FIRST[undo])
+    vec = start.reshape(dims(undo.layout)).transpose(undo.to_shared_first)
     vec = undo_iso.adjoint(vec.reshape(math.prod(dims(undo.shared)), -1))
-    vec = vec.reshape(dims(undo.shared + undo.own)).transpose(_HANDOVER)
+    vec = vec.reshape(dims(undo.inputs)).transpose(_HANDOVER)
     vec = redo_iso.apply(vec.reshape(math.prod(dims(redo.shared)), -1))
-    vec = vec.reshape(dims(redo.shared + redo.out)).transpose(_TO_LAYOUT[redo]).reshape(-1)
+    vec = vec.reshape(dims(redo.outputs)).transpose(redo.to_layout).reshape(-1)
     distance = pure_trace_distance(vec, _entangled(plan.phi.amplitudes[None], sizes[redo.shared[0]]))
     norm = float(np.linalg.norm(vec))
     if not norm >= 1e-12:

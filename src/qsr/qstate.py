@@ -196,11 +196,12 @@ class DensityOperator:
 
 
 def _gram_rows(a: np.ndarray):
-    """Blocks (j, rows j .. j+255 of a^H a) from the real view of ``a``: no conjugated copy of ``a``."""
-    r, k = np.ascontiguousarray(a, dtype=complex).view(np.float64), a.shape[1]
-    for j in range(0, k, 256):
-        g = (r[:, 2 * j : 2 * (j + 256)].T @ r).reshape(-1, 2, k, 2)
-        yield j, g[:, 0, :, 0] + g[:, 1, :, 1] + 1j * (g[:, 0, :, 1] - g[:, 1, :, 0])
+    """Blocks (j, rows j .. j+255 of a^H a), each one complex product: a 256-column slice's conjugate with ``a``.
+
+    Peak memory is one block and the slice's conjugate, never a conjugated copy of all of ``a``.
+    """
+    for j in range(0, a.shape[1], 256):
+        yield j, a[:, j : j + 256].conj().T @ a
 
 
 def _check_isometry(a: np.ndarray, *defects: float) -> None:

@@ -80,15 +80,16 @@ def _householder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     recursion, which also covers reflectors with tau = 0.
     """
     raw, tau = np.linalg.qr(a, mode="raw")
-    d, k = a.shape
-    y = np.tril(raw.T, -1)
+    k = a.shape[1]
+    r, y = np.triu(raw.T[:k]), np.tril(raw.T, -1)
+    del raw  # qr's copy of ``a`` and Y's conjugate below are never alive at once
     y[np.arange(k), np.arange(k)] = 1.0
     gram = y.conj().T @ y
     t = np.zeros((k, k), dtype=complex)
     for i in range(k):
         t[:i, i] = -tau[i] * (t[:i, :i] @ gram[:i, i])
         t[i, i] = tau[i]
-    return y, t, np.triu(raw.T[:k])
+    return y, t, r
 
 
 @dataclass(frozen=True, eq=False)

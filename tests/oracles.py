@@ -251,3 +251,24 @@ def pure_pair_distance(v: np.ndarray, t: np.ndarray) -> float:
     r = np.linalg.qr(np.stack([t, v], axis=1), mode="r")
     op = np.outer(r[:, 1], r[:, 1].conj()) - np.outer(r[:, 0], r[:, 0].conj())
     return float(np.abs(np.linalg.eigvalsh(op)).sum())
+
+
+def eigvalsh_pure_trace_distance(u: np.ndarray, v: np.ndarray) -> float:
+    """||uu* - vv*||_1 for (possibly subnormalized) vectors, from eigvalsh of a 2 x 2 operator.
+
+    Gram-Schmidt gives u = nu e1 and v = c e1 + nw e2 in an orthonormal basis of span(u, v); the
+    difference of outer products is summed over both eigenvalues' magnitudes.  A zero u or a
+    collinear pair (nw below 1e-15) leaves a rank-one difference.
+    """
+    u, v = np.asarray(u).reshape(-1), np.asarray(v).reshape(-1)
+    nu = np.linalg.norm(u)
+    if nu < 1e-300:
+        return float(np.linalg.norm(v) ** 2)
+    c = np.vdot(u / nu, v)
+    nw = np.linalg.norm(v - c * u / nu)
+    if nw < 1e-15:
+        return float(abs(nu**2 - abs(c) ** 2))
+    u2 = np.array([nu, 0.0], dtype=complex)
+    v2 = np.array([c, nw], dtype=complex)
+    op = np.outer(u2, u2.conj()) - np.outer(v2, v2.conj())
+    return float(np.abs(np.linalg.eigvalsh(op)).sum())

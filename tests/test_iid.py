@@ -19,10 +19,11 @@ from qsr.iid import (
     tensor_power,
     typical_stats,
 )
+from qsr.iid import _rotate_copies
 from qsr.metrics import ResourceRates, pure_trace_distance, resource_rates
 from qsr.presets import PRESET_ROLES, preset_state
 from qsr.protocol import canonicalize
-from qsr.qstate import DensityOperator, SystemLayout, partial_trace, permute
+from qsr.qstate import DensityOperator, SystemLayout, partial_trace, permute, vector_apply
 from qsr.sampling import SeededStream, random_pure_state
 
 from oracles import enumerate_typical, multinomial, typical_projector
@@ -173,6 +174,24 @@ class TestProjectTypical:
         norm = np.linalg.norm(projected)
         assert abs(prob - norm**2) < 1e-12
         np.testing.assert_allclose(permute(omega, order).amplitudes, projected / norm, atol=1e-10)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_copy_rotation_matches_the_vector_apply_loop(self, d):
+        # One stacked product per copy axis forms the same products as vector_apply on that axis,
+        # but BLAS may round them differently: gemm computes a trailing partial tile of columns
+        # in another kernel, and the two routes tile the columns differently.  Agreement is to
+        # rounding, which a unitary and a unit vector bound by n d eps per entry.
+        eps = np.finfo(float).eps
+        for n in range(1, 6):
+            for rest in (1, 3):
+                rng = SeededStream(40).derive(100 * d + 10 * n + rest).generator()
+                u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+                vec = rng.standard_normal(d**n * rest) + 1j * rng.standard_normal(d**n * rest)
+                vec /= np.linalg.norm(vec)
+                want, dims = vec, (d,) * n + (rest,)
+                for i in range(n):
+                    want, _ = vector_apply(want, dims, (i,), u, (d,))
+                np.testing.assert_allclose(_rotate_copies(vec, n, u), want, rtol=0, atol=n * d * eps)
 
     def test_empty_typical_set_raises(self):
         phi = canonicalize(preset_state("tilted-CR"), PRESET_ROLES)

@@ -28,6 +28,8 @@ from qsr.qstate import (
 )
 from qsr.sampling import SeededStream, random_density, random_pure_state
 
+from oracles import eigvalsh_pure_trace_distance
+
 FOUR_QUBITS = SystemLayout.of(("C", 2), ("A", 2), ("B", 2), ("R", 2))
 
 # Binary entropy of (0.9, 0.1), frozen from -0.9 log2 0.9 - 0.1 log2 0.1.
@@ -84,6 +86,59 @@ class TestTraceDistance:
     def test_trace_norm_requires_square(self):
         with pytest.raises(ValueError):
             trace_norm(np.ones((2, 3)))
+
+
+class TestPureTraceDistanceEdgeCases:
+    """The closed form against the 2 x 2 eigvalsh oracle where random pairs never land."""
+
+    @staticmethod
+    def _pair(tag: int, d: int = 16) -> tuple[np.ndarray, np.ndarray]:
+        """A unit vector and a unit vector orthogonal to it."""
+        rng = SeededStream(14).derive(tag).generator()
+        u, w = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
+        u /= np.linalg.norm(u)
+        w -= np.vdot(u, w) * u
+        return u, w / np.linalg.norm(w)
+
+    def test_orthogonal_states_are_at_distance_two(self):
+        u, v = np.eye(6, dtype=complex)[[1, 4]]
+        assert pure_trace_distance(u, v) == eigvalsh_pure_trace_distance(u, v) == 2.0
+        u, v = self._pair(0)
+        assert abs(pure_trace_distance(u, v) - 2.0) <= 1e-15
+        assert abs(pure_trace_distance(u, v) - eigvalsh_pure_trace_distance(u, v)) <= 1e-15
+
+    def test_collinear_subnormalized_pair(self):
+        u, _ = self._pair(1)
+        v = 0.6j * u  # |v|^2 = 0.36: the difference is rank one with trace 0.64
+        for a, b in ((u, v), (v, u)):
+            assert abs(pure_trace_distance(a, b) - 0.64) <= 1e-15
+            assert abs(pure_trace_distance(a, b) - eigvalsh_pure_trace_distance(a, b)) <= 1e-15
+
+    @pytest.mark.parametrize("distance", [1e-12, 1e-15])
+    def test_nearly_equal_pairs(self, distance):
+        for tag in range(5):
+            u, w = self._pair(10 + tag)
+            t = np.arcsin(distance / 2)
+            v = np.cos(t) * u + np.sin(t) * w  # || uu* - vv* ||_1 = 2 sin t
+            assert abs(pure_trace_distance(u, v) - eigvalsh_pure_trace_distance(u, v)) <= 1e-15
+            if distance > 1e-15:  # above the collinear cut-off the closed form resolves 2 sin t
+                assert abs(pure_trace_distance(u, v) - distance) <= 1e-15
+
+    def test_zero_vector(self):
+        u, _ = self._pair(2)
+        zero = np.zeros_like(u)
+        for a, b, want in ((zero, 0.5 * u, 0.25), (0.5 * u, zero, 0.25), (zero, zero, 0.0)):
+            assert abs(pure_trace_distance(a, b) - want) <= 1e-15
+            assert pure_trace_distance(a, b) == eigvalsh_pure_trace_distance(a, b)
+
+    def test_symmetric_in_its_arguments(self):
+        rng = SeededStream(15).generator()
+        for d in range(2, 40):
+            u, v = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
+            u *= rng.uniform(0.1, 1.0) / np.linalg.norm(u)
+            v *= rng.uniform(0.1, 1.0) / np.linalg.norm(v)  # subnormalized on purpose
+            assert abs(pure_trace_distance(u, v) - pure_trace_distance(v, u)) <= 1e-15
+            assert abs(pure_trace_distance(u, v) - eigvalsh_pure_trace_distance(u, v)) <= 1e-15
 
 
 class TestGramTraceDistance:

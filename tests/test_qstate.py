@@ -25,7 +25,7 @@ from qsr.qstate import (
     state_to_json,
     tensor,
 )
-from qsr.qstate import _matricize
+from qsr.qstate import _check_isometry, _matricize
 from qsr.sampling import SeededStream, haar_unitary, random_pure_state
 
 from oracles import loop_partial_trace, loop_vector_partial_trace
@@ -297,6 +297,17 @@ class TestValidation:
         q[:, 299] *= 1 + 1e-6  # changes only the entry (299, 299) of q^H q
         with pytest.raises(InvariantViolation):
             LinearMap(layout, layout, q, "unitary")
+
+    def test_defect_past_the_first_gram_block_of_a_transposed_view_rejected(self):
+        # The same block boundary on q.T, a non-contiguous view: the check takes it without a copy.
+        rng = np.random.default_rng(7)
+        q, _ = np.linalg.qr(rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300)))
+        view = q.T
+        assert not view.flags.c_contiguous
+        _check_isometry(view)
+        view[:, 299] *= 1 + 1e-6  # changes only the entry (299, 299) of view^H view
+        with pytest.raises(InvariantViolation):
+            _check_isometry(view)
 
     # A NaN compares false with every tolerance, so each check must fail on it.
     @pytest.mark.parametrize("index", [0, 1])

@@ -315,7 +315,8 @@ class TestFactoredIsometry:
         factors, dense = {"z": iso.z, "y": iso.y, "t": iso.t}, {"z": iso.to_linear_map().matrix}
         for good in (factors, dense):
             FactoredIsometry(iso.input_layout, iso.output_layout, **good)
-        for bad in ({**factors, "z": nudged(iso.z)}, {**factors, "t": nudged(iso.t)}, {"z": nudged(dense["z"])}):
+        # A nudged y leaves Z unitary: only the WY identity T + T^H = T^H (Y^H Y) T catches it.
+        for bad in (*({**factors, name: nudged(f)} for name, f in factors.items()), {"z": nudged(dense["z"])}):
             with pytest.raises(InvariantViolation):
                 FactoredIsometry(iso.input_layout, iso.output_layout, **bad)
 
