@@ -8,7 +8,9 @@ C = C1 C2 C3 and two reference states, the plan assembles
   qsr.decoupling (the ones ``qsr decouple`` runs),
 * an encoder W: C1 C3 A -> A2 C'' A'' aligning U.hat with Phi_{C2 A2} (x) hat
   on the shared systems C2 B R, and a decoder V: C2 C3 B -> B1 C' B'
-  aligning U.check with Phi_{C1 B1} (x) check on C1 A R.
+  aligning U.check with Phi_{C1 B1} (x) check on C1 A R.  A half with a trivial
+  kept factor (d2 = 1 for W, d1 = 1 for V) has a vacuous condition, and its
+  isometry is U^H on the C factor times the identity, in closed form.
 
 Each half is two label tuples, its shared systems and its pair state's order;
 layouts, run permutations and the size preflight are derived from them.  The
@@ -46,7 +48,7 @@ from .qstate import (
     permute_unchecked,
 )
 from .sampling import SeededStream, as_generator
-from .uhlmann import UhlmannResult, _align as _uhlmann_align
+from .uhlmann import FactoredIsometry, UhlmannResult, _align as _uhlmann_align
 
 def canonicalize(phi: PureState, roles: Mapping[str, str]) -> PureState:
     """Merge role groups into the canonical four-subsystem layout C, A, B, R (``phi`` itself if it is)."""
@@ -139,24 +141,32 @@ def _align(half: _Half, ref: PureState, u: np.ndarray, p: CutPartition, eps: flo
 
     M (U.ref) is the decoupling kernel's, and N = I/sqrt(d_kept) (x) S, where
     S is ``ref`` on the side; the half's residual ``eps`` is ||M M^H - N N^H||_1.
+    A trivial kept factor makes the condition vacuous (Tr_C[U rho U^H] = Tr_C rho): K = U^H (x) I, Re <N, K M> = 1.
     """
     m, s = _factors(*_condition(half, ref), p, u[None])
     sizes = _sizes(ref.dims, p)
-    n = _entangled(s, sizes[half.shared[0]])
-    iso, overlap, distance = _uhlmann_align(m[0], n, _layout(half.own, sizes), _layout(half.out, sizes))
-    return UhlmannResult(iso, overlap, eps, distance)
+    source, dest = _layout(half.own, sizes), _layout(half.out, sizes)
+    if sizes[half.shared[0]] > 1:
+        iso, overlap, distance = _uhlmann_align(m[0], _entangled(s, sizes[half.shared[0]]), source, dest)
+        return UhlmannResult(iso, overlap, eps, distance)
+    iso = FactoredIsometry(source, dest, u.conj().T, rest=source.total_dim // p.total)
+    km = iso.apply(m[0])  # N = S here
+    del m  # pair-state sized, like the distance's temporaries: not alive beside them
+    return UhlmannResult(iso, float(np.vdot(s, km).real), eps, pure_trace_distance(km, s))
 
 
 def _plan_entries(dims: Sequence[int], p: CutPartition) -> int:
     """Entries of the largest array of a plan and its runs, from the canonical (C, A, B, R) dims.
 
     Over both halves: the pair state (which bounds a dense isometry and its factor Y), the residual's
-    Gram matrix (shared size squared) and the isometry's factor Z (own size squared).
+    Gram matrix (shared size squared) and the isometry's factor Z (own size squared, or d_C squared
+    for the U^H of a trivial kept factor).
     """
     sizes = _sizes(dims, p)
+    zs = {h: h.own if sizes[h.shared[0]] > 1 else ("C1", "C2", "C3") for h in (_ENCODER, _DECODER)}
     return max(
         math.prod(sizes[lab] for lab in labels) ** power
-        for h in (_ENCODER, _DECODER) for labels, power in ((h.layout, 1), (h.shared, 2), (h.own, 2))
+        for h in (_ENCODER, _DECODER) for labels, power in ((h.layout, 1), (h.shared, 2), (zs[h], 2))
     )
 
 

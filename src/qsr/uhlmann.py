@@ -8,7 +8,8 @@ trace distance the aligned states are within 2 sqrt(eps).  The fidelity fixes
 K only on the support of X; any isometric extension off it gives the same
 overlap and the same bound, so each construction below takes the extension
 its factorization hands it, and keeps K in the factors that built it
-(:class:`FactoredIsometry`); the dense matrix is an explicit, guarded export.
+(:class:`FactoredIsometry`, which also holds a closed-form K = U^H (x) I as its
+U^H); the dense matrix is an explicit, guarded export.
 """
 
 from __future__ import annotations
@@ -92,14 +93,20 @@ def _householder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return y, t, r
 
 
+def _leading(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x (a (x) I_rest)^T as one GEMM, not one per row; at rest = 1 it is (a x^T)^T, as dense K always was."""
+    return (a @ x.T.reshape(a.shape[1], -1)).reshape(-1, len(x)).T
+
+
 @dataclass(frozen=True, eq=False)
 class FactoredIsometry:
     """An isometry K from ``input_layout`` to ``output_layout``, kept as the factors that built it.
 
     With reflectors ``y`` (d_out x r) and ``t`` (r x r), K = (I - Y T Y^H)[:, :d_in] Z
-    with a d_in x d_in unitary ``z``, and K is never formed; without them ``z``
-    is K.  Checked on construction at the factors' cost: Z^H Z = I, and
-    T + T^H = T^H (Y^H Y) T, which makes I - Y T Y^H unitary.
+    with a d_in x d_in unitary ``z``, and K is never formed; without them
+    K = z (x) I_rest, ``z`` acting on the leading factor of both layouts (``z`` is
+    K at ``rest = 1``).  Checked on construction at the factors' cost: Z^H Z = I,
+    and T + T^H = T^H (Y^H Y) T, which makes I - Y T Y^H unitary.
     """
 
     input_layout: SystemLayout
@@ -107,14 +114,15 @@ class FactoredIsometry:
     z: np.ndarray
     y: "np.ndarray | None" = None
     t: "np.ndarray | None" = None
+    rest: int = 1
 
     def __post_init__(self) -> None:
-        d_in, d_out = self.input_layout.total_dim, self.output_layout.total_dim
+        d_in, d_out, rest = self.input_layout.total_dim, self.output_layout.total_dim, self.rest
         r = 0 if self.t is None else len(self.t)
-        want = [(d_out, d_in)] if self.y is None else [(d_in, d_in), (d_out, r), (r, r)]
+        want = [(d_out // rest, d_in // rest)] if self.y is None else [(d_in, d_in), (d_out, r), (r, r)]
         got = [np.shape(f) for f in (self.z, self.y, self.t)[: len(want)]]
-        if d_out < d_in or got != want:
-            raise LayoutError(f"isometry {d_in} -> {d_out} has factor shapes {got}, want {want}")
+        if d_out < d_in or got != want or d_in % rest or d_out % rest or (rest > 1 and self.y is not None):
+            raise LayoutError(f"isometry {d_in} -> {d_out} has factor shapes {got} and rest {rest}, want {want}")
         wy = []
         if self.y is not None:
             t, th, gram = self.t, self.t.conj().T, np.vstack([g for _, g in _gram_rows(self.y)])
@@ -125,13 +133,13 @@ class FactoredIsometry:
         """K as a dense, validated LinearMap; refused above the size guard."""
         d_in = self.input_layout.total_dim
         check_guard("the dense isometry", self.output_layout.total_dim * d_in)
-        k = self.z if self.y is None else self.apply(np.eye(d_in)).T
+        k = self.z if self.y is None and self.rest == 1 else self.apply(np.eye(d_in)).T
         return LinearMap(self.input_layout, self.output_layout, k, kind="isometry")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """x K^T: K on each row of ``x``, a matrix whose columns run over the input."""
         if self.y is None:
-            return (self.z @ x.T).T  # the orientation dense alignments always used: distance_out keeps its bits
+            return _leading(self.z, x)
         a = x @ self.z.T
         out = -(((a @ self.y[: a.shape[1]].conj()) @ self.t.T) @ self.y.T)
         out[:, : a.shape[1]] += a
@@ -140,7 +148,7 @@ class FactoredIsometry:
     def adjoint(self, x: np.ndarray) -> np.ndarray:
         """x conj(K) = (K^H x^T)^T: K^H on each row of ``x`` (columns over the output), no renormalization."""
         if self.y is None:
-            return x @ self.z.conj()
+            return x @ self.z.conj() if self.rest == 1 else _leading(self.z.conj().T, x)
         d_in = len(self.z)
         return (x[:, :d_in] - ((x @ self.y.conj()) @ self.t.conj()) @ self.y[:d_in].T) @ self.z.conj()
 

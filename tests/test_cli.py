@@ -127,6 +127,14 @@ class TestIid:
         res = rec["results"]
         assert res["typical_rank"] == res["d1"] * res["d2"] * res["d3"] - res["padding"] == 128
 
+    def test_trivial_kept_factors_run_at_the_default_guard(self, capsys):
+        # d1 = d2 = 1: both halves are U^H (x) I, so no 4096 x 4096 factor Z is
+        # held and the default guard admits the run.
+        rec = run_json(capsys, "iid", "--state", "bell-CA", "--n", "6", "--delta", "0.2")
+        res = rec["results"]
+        assert (res["d1"], res["d2"], res["d3"]) == (1, 1, 64)
+        assert res["distance_to_target"] <= res["measured_bound"]
+
     @pytest.mark.parametrize("delta,t", [("1e308", "2"), ("0.5", "1e308")])
     def test_overflowing_window_gives_trivial_ebit_registers(self, capsys, delta, t):
         # 3 t delta overflows to inf, so both ebit targets are -inf.
@@ -363,6 +371,7 @@ BIT_IDENTITY_COMMANDS = (
     ("iid --state ghz-CBR --n 4 --delta 0.05 --seed 2", 0),
     ("iid --state random --n 3 --delta 0.35 --t 1.2 --seed 124", 0),
     ("iid --state tilted-CR --n 7 --delta 2.127125289449806", 0),
+    ("iid --state bell-CA --n 6 --delta 0.2", 0),
 )
 
 

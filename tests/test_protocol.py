@@ -486,23 +486,66 @@ class TestRunsAgainstOracle:
                 assert plan.gamma1 > 0 and plan.gamma2 > 0 and plan.gamma1 != plan.gamma2
                 self._check(plan)
 
+    @pytest.mark.parametrize("side", [(1, 1, 3), (2, 3, 2)])  # (d_A, d_B, d_R): rest = 1, and rest > 1
+    @pytest.mark.parametrize("cut", [(1, 2, 2), (2, 1, 2), (1, 1, 4)])
+    def test_trivial_kept_factor_is_the_inverse_rotation(self, cut, side):
+        # With d2 = 1 (W) or d1 = 1 (V) the half's isometry is U^H on its C
+        # factor times the identity on A or B, and it aligns exactly.
+        layout = SystemLayout.of(("C", 4), *zip("ABR", side))
+        tag = 10 * cut[0] + cut[1] + 100 * side[0]
+        phi, hat, check = (random_pure_state(layout, SeededStream(350).derive(3 * tag + k)) for k in range(3))
+        plan = build_plan(phi, PRESET_ROLES, CutPartition(*cut), refs=(hat, check), stream=SeededStream(351))
+        assert plan.gamma1 > 0 and plan.gamma2 > 0 and plan.gamma1 != plan.gamma2
+        u_h = plan.unitary.matrix.conj().T
+        trivial = [(res, rest) for res, kept, rest in ((plan.encoder_alignment, cut[1], side[0]),
+                                                       (plan.decoder_alignment, cut[0], side[1])) if kept == 1]
+        assert trivial
+        for res, rest in trivial:
+            assert res.isometry.rest == rest
+            np.testing.assert_allclose(res.isometry.to_linear_map().matrix, np.kron(u_h, np.eye(rest)),
+                                       rtol=0.0, atol=1e-12)
+            assert abs(res.achieved_overlap - 1.0) <= 1e-12
+            assert res.distance_out <= 1e-12
+        self._check(plan)
+
     def test_householder_branch_of_an_iid_plan(self):
         rep = iid_experiment(preset_state("bell-CA"), PRESET_ROLES, TypicalSpec(n=5, delta=0.05), SeededStream(90))
         assert any(res.isometry.y is not None for res in (rep.plan.encoder_alignment, rep.plan.decoder_alignment))
         self._check(rep.plan)
 
 
+def _all_cuts_and_sides():
+    """Every cut of d_C in 1..12 with A, B and R dims in {1, 2, 3}."""
+    for d_c in range(1, 13):
+        cuts = [(d1, d2, d_c // (d1 * d2)) for d1 in range(1, d_c + 1) for d2 in range(1, d_c + 1)
+                if d_c % (d1 * d2) == 0]
+        yield from itertools.product(cuts, itertools.product((1, 2, 3), repeat=3))
+
+
 class TestPreflight:
     def test_plan_entries_match_the_closed_form(self):
         # The preflight is derived from the halves' label tuples; the closed
         # form it replaced is the oracle, so the guard decision cannot drift.
-        for d_c in range(1, 13):
-            cuts = [(d1, d2, d_c // (d1 * d2)) for d1 in range(1, d_c + 1) for d2 in range(1, d_c + 1)
-                    if d_c % (d1 * d2) == 0]
-            for (d1, d2, d3), (d_a, d_b, d_r) in itertools.product(cuts, itertools.product((1, 2, 3), repeat=3)):
-                want = max(max(d1, d2) ** 2 * d_c * d_a * d_b * d_r, (d2 * d_b * d_r) ** 2,
-                           (d1 * d_a * d_r) ** 2, (d1 * d3 * d_a) ** 2, (d2 * d3 * d_b) ** 2)
-                assert _plan_entries((d_c, d_a, d_b, d_r), CutPartition(d1, d2, d3)) == want
+        # A half with a trivial kept factor (d2 = 1 for W, d1 = 1 for V) holds
+        # U^H (d_C^2 entries) in place of its own-size-squared Z.
+        for (d1, d2, d3), (d_a, d_b, d_r) in _all_cuts_and_sides():
+            d_c = d1 * d2 * d3
+            want = max(max(d1, d2) ** 2 * d_c * d_a * d_b * d_r, (d2 * d_b * d_r) ** 2,
+                       (d1 * d_a * d_r) ** 2, (d1 * d3 * d_a) ** 2 if d2 > 1 else d_c ** 2,
+                       (d2 * d3 * d_b) ** 2 if d1 > 1 else d_c ** 2)
+            assert _plan_entries((d_c, d_a, d_b, d_r), CutPartition(d1, d2, d3)) == want
+
+    def test_plan_entries_bound_what_a_built_plan_holds(self):
+        # The prediction must cover the largest pair state and the largest
+        # isometry factor that the built plan actually holds, on every path.
+        for k, ((d1, d2, d3), side) in enumerate(_all_cuts_and_sides()):
+            p = CutPartition(d1, d2, d3)
+            phi = random_pure_state(SystemLayout.of(("C", p.total), *zip("ABR", side)), SeededStream(340).derive(k))
+            plan = build_plan(phi, PRESET_ROLES, p, search_budget=1, stream=SeededStream(341).derive(k))
+            held = [state.amplitudes.size for state in (initial_state(plan), final_state_target(plan))]
+            for res in (plan.encoder_alignment, plan.decoder_alignment):
+                held += [np.size(f) for f in (res.isometry.z, res.isometry.y, res.isometry.t) if f is not None]
+            assert _plan_entries(phi.dims, p) >= max(held)
 
 
 class TestKronFreeOperands:

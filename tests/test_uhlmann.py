@@ -286,7 +286,8 @@ def _assert_matches_dense(iso, rng):
 class TestFactoredIsometry:
     def test_apply_and_adjoint_match_the_dense_export(self):
         # Random d_C = 4 states over all six cuts, and the i.i.d. presets whose
-        # targets are widest at n = 5; both branches must occur.
+        # targets are widest at n = 5; the reflector form, the dense form and
+        # the closed form U^H (x) I_rest with rest > 1 must all occur.
         rng = SeededStream(87).generator()
         isos = []
         layout = SystemLayout.of(("C", 4), ("A", 2), ("B", 2), ("R", 2))
@@ -298,8 +299,14 @@ class TestFactoredIsometry:
         for preset in ("bell-CA", "bell-CB", "ghz-CBR"):
             rep = iid_experiment(preset_state(preset), PRESET_ROLES, TypicalSpec(n=5, delta=0.05), SeededStream(90))
             isos += [rep.plan.encoder_alignment.isometry, rep.plan.decoder_alignment.isometry]
-        assert {iso.y is None for iso in isos} == {True, False}
+        assert {(iso.y is None, iso.rest > 1) for iso in isos} == {(False, False), (True, False), (True, True)}
+        u = haar_unitary_matrix(3, SeededStream(86).generator())
+        six, six_p = SystemLayout.of(("C", 3), ("A", 2)), SystemLayout.of(("Cp", 3), ("Ap", 2))
+        isos.append(FactoredIsometry(six, six_p, u, rest=2))
         for iso in isos:
+            if iso.rest > 1:  # the dense export goes through apply: check it against np.kron
+                want = np.kron(iso.z, np.eye(iso.rest))
+                np.testing.assert_allclose(iso.to_linear_map().matrix, want, rtol=0.0, atol=1e-12)
             _assert_matches_dense(iso, rng)
 
     def test_perturbed_factors_are_refused(self):
@@ -319,6 +326,23 @@ class TestFactoredIsometry:
         for bad in (*({**factors, name: nudged(f)} for name, f in factors.items()), {"z": nudged(dense["z"])}):
             with pytest.raises(InvariantViolation):
                 FactoredIsometry(iso.input_layout, iso.output_layout, **bad)
+
+    def test_malformed_identity_factors_are_refused(self):
+        # K = z (x) I_rest: rest must divide both dims, z must be their quotient,
+        # a nudged z is caught at its own size, and reflectors take no rest.
+        u = haar_unitary_matrix(3, SeededStream(85).generator())
+        six, six_p = SystemLayout.of(("C", 3), ("A", 2)), SystemLayout.of(("Cp", 3), ("Ap", 2))
+        FactoredIsometry(six, six_p, u, rest=2)
+        for z, rest in ((u, 4), (u, 3), (np.eye(6), 2)):
+            with pytest.raises(LayoutError):
+                FactoredIsometry(six, six_p, z, rest=rest)
+        with pytest.raises(InvariantViolation):
+            FactoredIsometry(six, six_p, u + 1e-3, rest=2)
+        mu, nu = _wide_random(3, 2, 8, 16)
+        iso, _, _ = _align(mu.amplitudes.reshape(2, 8), nu.amplitudes.reshape(2, 16),
+                           mu.layout.restrict(["B"]), nu.layout.restrict(["C"]))
+        with pytest.raises(LayoutError):
+            FactoredIsometry(iso.input_layout, iso.output_layout, iso.z, iso.y, iso.t, rest=2)
 
     def test_dense_export_is_refused_above_the_guard(self):
         # bell-CA n = 6 runs with its 65536 x 256 encoder kept factored; only
