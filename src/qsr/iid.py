@@ -5,8 +5,8 @@ A string of eigenvalues of rho^(x)n is typical when its product lies in
 typical projector are computed combinatorially over type classes, so no
 2^n-dimensional operator is ever materialized.  One raw kernel projects onto
 the typical subspace of a per-copy group: it brings the group's copies to the
-front, rotates each into the group's eigenbasis, applies the string mask, and
-undoes both.
+front, rotates each into its eigenbasis, masks, and undoes both, unless the
+mask keeps every string and the projector is exactly the identity.
 
 The experiment driver builds phi^(x)n, projects the C copies once and
 continues that projection into the two reference states (then A and BR for
@@ -85,12 +85,6 @@ def log2_window(eigenvalues: np.ndarray, spec: TypicalSpec) -> tuple[float, floa
     return (-spec.n * (s + spec.delta), -spec.n * (s - spec.delta))
 
 
-def _log2_spectrum(eigenvalues: np.ndarray) -> np.ndarray:
-    lam = np.clip(np.asarray(eigenvalues, dtype=float), 0.0, 1.0)
-    with np.errstate(divide="ignore"):
-        return np.log2(lam)
-
-
 def _compositions(n: int, parts: int):
     """Count vectors of ``parts`` entries >= 0 summing to ``n`` in lexicographic order, by stars and bars."""
     for bars in itertools.combinations(range(n + parts - 1), parts - 1):
@@ -120,7 +114,8 @@ def typical_stats(rho: "DensityOperator | np.ndarray", spec: TypicalSpec) -> Typ
     eigs = np.linalg.eigvalsh(rho.matrix) if isinstance(rho, DensityOperator) else np.asarray(rho, float)
     eigs = np.clip(eigs, 0.0, 1.0)
     lo, hi = log2_window(eigs, spec)
-    logs = _log2_spectrum(eigs)
+    with np.errstate(divide="ignore"):
+        logs = np.log2(eigs)
     d = eigs.shape[0]
     types: list[tuple[int, ...]] = []
     rank = 0
@@ -196,6 +191,8 @@ def _project(
     rotated into the eigenbasis ``vecs``, non-typical strings are zeroed, and
     the rotation and permutation are undone.
     """
+    if mask.all():  # the projector is exactly the identity
+        return vec
     front = [f"{lab}{i}" for i in range(1, n + 1) for lab in group]
     rest = [lab for lab in layout.labels if lab not in front]
     front_layout, vec = permute_unchecked(layout, vec, front + rest)

@@ -63,16 +63,16 @@ def pure_trace_distance(u: np.ndarray, v: np.ndarray) -> float:
     With nu = |u|, c = <u/nu, v> and nw = |v - c u/nu|, the difference restricted to span(u, v) is
     the 2x2 matrix [[nu^2 - |c|^2, -c nw], [-c* nw, -nw^2]].  Its determinant -nu^2 nw^2 is not
     positive, so its two eigenvalues have opposite signs and the trace norm is their difference,
-    sqrt(tr^2 + 4 nu^2 nw^2) in closed form.
+    sqrt(tr^2 + 4 nu^2 nw^2) in closed form.  One C-ordered buffer the size of ``u`` is its only temporary.
     """
-    u = np.asarray(u).reshape(-1)
     v = np.asarray(v).reshape(-1)
-    nu = np.linalg.norm(u)
+    e1 = np.array(u, dtype=np.result_type(u, v, 1.0), order="C").reshape(-1)
+    nu = np.linalg.norm(e1)
     if nu < 1e-300:
         return float(np.linalg.norm(v) ** 2)
-    e1 = u / nu
+    e1 /= nu
     c = np.vdot(e1, v)
-    w = np.subtract(v, c * e1, out=e1)  # e1 is not needed again: reuse its buffer
+    w = np.subtract(v, np.multiply(c, e1, out=e1), out=e1)  # c first, as in c * e1: e1 * c may round otherwise
     nw = np.linalg.norm(w)
     if nw < 1e-15:
         # Collinear: difference is rank one.

@@ -9,8 +9,8 @@ C = C1 C2 C3 and two reference states, the plan assembles
 * an encoder W: C1 C3 A -> A2 C'' A'' aligning U.hat with Phi_{C2 A2} (x) hat
   on the shared systems C2 B R, and a decoder V: C2 C3 B -> B1 C' B'
   aligning U.check with Phi_{C1 B1} (x) check on C1 A R.  A half with a trivial
-  kept factor (d2 = 1 for W, d1 = 1 for V) has a vacuous condition, and its
-  isometry is U^H on the C factor times the identity, in closed form.
+  kept factor (d2 = 1 for W, d1 = 1 for V) has a vacuous condition; its isometry
+  U^H (x) I aligns exactly, and both such halves share one U^H, checked as U.
 
 Each half is two label tuples, its shared systems and its pair state's order;
 layouts, run permutations and the size preflight are derived from them.  The
@@ -48,7 +48,7 @@ from .qstate import (
     permute_unchecked,
 )
 from .sampling import SeededStream, as_generator
-from .uhlmann import FactoredIsometry, UhlmannResult, _align as _uhlmann_align
+from .uhlmann import UhlmannResult, _align as _uhlmann_align, _CheckedRotation
 
 def canonicalize(phi: PureState, roles: Mapping[str, str]) -> PureState:
     """Merge role groups into the canonical four-subsystem layout C, A, B, R (``phi`` itself if it is)."""
@@ -136,23 +136,21 @@ def _entangled(x: np.ndarray, d: int) -> np.ndarray:
     return (coef[:, None, :, None] * x[None, :, None, :]).reshape(d * len(x), -1)
 
 
-def _align(half: _Half, ref: PureState, u: np.ndarray, p: CutPartition, eps: float) -> UhlmannResult:
+def _align(half: _Half, ref: PureState, u: np.ndarray, u_h: "np.ndarray | None", p: CutPartition,
+           eps: float) -> UhlmannResult:
     """The isometry taking U.ref (C split) to the half's pair state, with ``half.shared`` fixed.
 
-    M (U.ref) is the decoupling kernel's, and N = I/sqrt(d_kept) (x) S, where
-    S is ``ref`` on the side; the half's residual ``eps`` is ||M M^H - N N^H||_1.
-    A trivial kept factor makes the condition vacuous (Tr_C[U rho U^H] = Tr_C rho): K = U^H (x) I, Re <N, K M> = 1.
+    M (U.ref) is the decoupling kernel's, and N = I/sqrt(d_kept) (x) S, where S is ``ref`` on the side;
+    the half's residual ``eps`` is ||M M^H - N N^H||_1.  A trivial kept factor makes the condition vacuous
+    (Tr_C[U rho U^H] = Tr_C rho): K = U^H (x) I (``u_h``) gives K M = S, overlap 1 and distance_out 0.
     """
-    m, s = _factors(*_condition(half, ref), p, u[None])
     sizes = _sizes(ref.dims, p)
     source, dest = _layout(half.own, sizes), _layout(half.out, sizes)
-    if sizes[half.shared[0]] > 1:
-        iso, overlap, distance = _uhlmann_align(m[0], _entangled(s, sizes[half.shared[0]]), source, dest)
-        return UhlmannResult(iso, overlap, eps, distance)
-    iso = FactoredIsometry(source, dest, u.conj().T, rest=source.total_dim // p.total)
-    km = iso.apply(m[0])  # N = S here
-    del m  # pair-state sized, like the distance's temporaries: not alive beside them
-    return UhlmannResult(iso, float(np.vdot(s, km).real), eps, pure_trace_distance(km, s))
+    if sizes[half.shared[0]] == 1:
+        return UhlmannResult(_CheckedRotation(source, dest, u_h, rest=source.total_dim // p.total), 1.0, eps, 0.0)
+    m, s = _factors(*_condition(half, ref), p, u[None])
+    iso, overlap, distance = _uhlmann_align(m[0], _entangled(s, sizes[half.shared[0]]), source, dest)
+    return UhlmannResult(iso, overlap, eps, distance)
 
 
 def _plan_entries(dims: Sequence[int], p: CutPartition) -> int:
@@ -288,12 +286,13 @@ def _assemble(
     first, second = _condition(_DECODER, check), _condition(_ENCODER, hat)
     alpha, beta = _bound(*first, p), _bound(*second, p)
     u, res, iters = search_unitary(p.total, _residuals_of(first, second, p), alpha, beta, search_budget, rng)
+    u_h = u.conj().T if min(p.d1, p.d2) == 1 else None  # shared by both closed-form halves
     c_layout = SystemLayout.of(("C", p.total))
-    u = LinearMap(c_layout, c_layout, u, kind="unitary")
+    u = LinearMap(c_layout, c_layout, u, kind="unitary")  # the plan's one check of U, which u_h relies on
     # res.eps2 is the encoder's (keep C2) residual, res.eps1 the decoder's
     # (keep C1); eta1 bounds the former, eta2 the latter.
-    w_res = _align(_ENCODER, hat, u.matrix, p, res.eps2)
-    v_res = _align(_DECODER, check, u.matrix, p, res.eps1)
+    w_res = _align(_ENCODER, hat, u.matrix, u_h, p, res.eps2)
+    v_res = _align(_DECODER, check, u.matrix, u_h, p, res.eps1)
     return ProtocolPlan(
         partition=p, unitary=u, encoder_alignment=w_res, decoder_alignment=v_res,
         eta1=_eta(beta), eta2=_eta(alpha), gamma1=gamma1, gamma2=gamma2,

@@ -9,7 +9,7 @@ K only on the support of X; any isometric extension off it gives the same
 overlap and the same bound, so each construction below takes the extension
 its factorization hands it, and keeps K in the factors that built it
 (:class:`FactoredIsometry`, which also holds a closed-form K = U^H (x) I as its
-U^H); the dense matrix is an explicit, guarded export.
+U^H, relying on U's own check); the dense matrix is an explicit, guarded export.
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ class FactoredIsometry:
     With reflectors ``y`` (d_out x r) and ``t`` (r x r), K = (I - Y T Y^H)[:, :d_in] Z
     with a d_in x d_in unitary ``z``, and K is never formed; without them
     K = z (x) I_rest, ``z`` acting on the leading factor of both layouts (``z`` is
-    K at ``rest = 1``).  Checked on construction at the factors' cost: Z^H Z = I,
-    and T + T^H = T^H (Y^H Y) T, which makes I - Y T Y^H unitary.
+    K at ``rest = 1``).  Checked on construction at the factors' cost: Z^H Z = I (but see
+    :class:`_CheckedRotation`), and T + T^H = T^H (Y^H Y) T, which makes I - Y T Y^H unitary.
     """
 
     input_layout: SystemLayout
@@ -123,11 +123,11 @@ class FactoredIsometry:
         got = [np.shape(f) for f in (self.z, self.y, self.t)[: len(want)]]
         if d_out < d_in or got != want or d_in % rest or d_out % rest or (rest > 1 and self.y is not None):
             raise LayoutError(f"isometry {d_in} -> {d_out} has factor shapes {got} and rest {rest}, want {want}")
-        wy = []
         if self.y is not None:
             t, th, gram = self.t, self.t.conj().T, np.vstack([g for _, g in _gram_rows(self.y)])
-            wy.append(np.abs(t + th - th @ gram @ t).max())
-        _check_isometry(self.z, *wy)
+            _check_isometry(self.z, np.abs(t + th - th @ gram @ t).max())
+        elif not isinstance(self, _CheckedRotation):
+            _check_isometry(self.z)
 
     def to_linear_map(self) -> LinearMap:
         """K as a dense, validated LinearMap; refused above the size guard."""
@@ -151,6 +151,10 @@ class FactoredIsometry:
             return x @ self.z.conj() if self.rest == 1 else _leading(self.z.conj().T, x)
         d_in = len(self.z)
         return (x[:, :d_in] - ((x @ self.y.conj()) @ self.t.conj()) @ self.y[:d_in].T) @ self.z.conj()
+
+
+class _CheckedRotation(FactoredIsometry):
+    """K = Z (x) I_rest with Z = U^H for a U already checked as a unitary ``LinearMap``: Z is not checked again."""
 
 
 @dataclass(frozen=True)

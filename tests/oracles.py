@@ -172,6 +172,21 @@ def protocol_isometries(
     return polar_isometry(m_w, n_w), polar_isometry(m_v, n_v)
 
 
+def inverse_rotation(ref: np.ndarray, u: np.ndarray, side: int) -> np.ndarray:
+    """The dense K = U^H (x) I_side applied to U.ref, flat in ref's (C, A, B, R) order.
+
+    ``ref`` is a (C, A, B, R) amplitude tensor, ``u`` the unitary on C and
+    ``side`` the axis (1 for A, 2 for B) that K carries with C.  This is the
+    closed-form alignment of a protocol half whose kept factor is trivial;
+    the result should be ``ref`` itself.
+    """
+    order = (0, side, *(a for a in (1, 2, 3) if a != side))
+    rotated = np.tensordot(u, ref, axes=(1, 0)).transpose(order)
+    k = np.kron(u.conj().T, np.eye(ref.shape[side]))
+    out = (k @ rotated.reshape(len(k), -1)).reshape(rotated.shape)
+    return out.transpose(np.argsort(order)).reshape(-1)
+
+
 def decoupling_residuals(
     vec: np.ndarray, dims: tuple[int, ...], side: tuple[int, ...], keep: int,
     cut: tuple[int, int, int], us: np.ndarray,

@@ -1,6 +1,7 @@
 """Typical subspaces, dimension allocation, and the tensor-power driver."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,8 @@ from qsr.iid import (
     tensor_power,
     typical_stats,
 )
-from qsr.iid import _rotate_copies
+from qsr import decoupling, iid, protocol, qstate, uhlmann
+from qsr.iid import _project, _rotate_copies
 from qsr.metrics import ResourceRates, pure_trace_distance, resource_rates
 from qsr.presets import PRESET_ROLES, preset_state
 from qsr.protocol import canonicalize
@@ -175,6 +177,45 @@ class TestProjectTypical:
         assert abs(prob - norm**2) < 1e-12
         np.testing.assert_allclose(permute(omega, order).amplitudes, projected / norm, atol=1e-10)
 
+    def test_mask_keeping_every_string_returns_the_input(self):
+        # bell-CR's C and R marginals are flat, so every string is typical and each projector is
+        # exactly the identity: the kernel hands back its read-only input, which project_typical
+        # only renormalizes.
+        phi = canonicalize(preset_state("bell-CR"), PRESET_ROLES)
+        spec = TypicalSpec(n=3, delta=0.05)
+        psi = tensor_power(phi, spec.n)
+        before = psi.amplitudes.copy()
+        steps = [((lab,), partial_trace(phi, [lab])) for lab in ("C", "R")]
+        for group, rho in steps:
+            eigs, vecs = np.linalg.eigh(rho.matrix)
+            mask = string_mask(eigs, spec)
+            assert mask.all() and not psi.amplitudes.flags.writeable
+            assert _project(psi.layout, psi.amplitudes, group, spec.n, vecs, mask) is psi.amplitudes
+        omega, kept = project_typical(psi, steps, spec)
+        assert kept == float(np.linalg.norm(before) ** 2)
+        assert np.array_equal(omega.amplitudes, before / np.sqrt(kept))
+        assert np.array_equal(psi.amplitudes, before)
+
+    @pytest.mark.parametrize("group", [("C",), ("A", "R")])
+    def test_huge_delta_in_a_rotated_eigenbasis_matches_the_matrix_oracle(self, group):
+        # Every string is typical, but the eigenbasis is no permutation of the standard one, so a
+        # rotate-mask-undo round trip would not be exact.  The skipped projection must still agree
+        # with the materialized projector.
+        phi = canonicalize(preset_state("random", stream=SeededStream(137)), PRESET_ROLES)
+        rho = partial_trace(phi, group)
+        spec = TypicalSpec(n=2, delta=50.0)
+        eigs, vecs = np.linalg.eigh(rho.matrix)
+        assert string_mask(eigs, spec).all() and np.abs(vecs).max() < 0.99
+        psi = tensor_power(phi, 2)
+        omega, prob = project_typical(psi, [(group, rho)], spec)
+        pi = typical_projector(rho.matrix, spec.n, spec.delta)
+        copies = [f"{lab}{i}" for i in (1, 2) for lab in group]
+        order = [lab for lab in psi.layout.labels if lab not in copies] + copies
+        projected = (permute(psi, order).amplitudes.reshape(-1, pi.shape[0]) @ pi.T).reshape(-1)
+        norm = np.linalg.norm(projected)
+        assert abs(prob - norm**2) <= 1e-12
+        np.testing.assert_allclose(permute(omega, order).amplitudes, projected / norm, rtol=0.0, atol=1e-12)
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_copy_rotation_matches_the_vector_apply_loop(self, d):
         # One stacked product per copy axis forms the same products as vector_apply on that axis,
@@ -280,6 +321,46 @@ class TestExperimentDriver:
         assert rep.success_probability > 1.0 - 1e-12
         assert (rep.per_copy_qubits, rep.per_copy_ebits_consumed, rep.per_copy_ebits_distilled) == (0, 0, 0)
         assert rep.protocol.distance_to_target <= 1e-6
+
+    def test_every_string_kept_leaves_the_tensor_power(self):
+        # All five groups of bell-CR keep every string, so omega, hat and check are one normalized
+        # tensor power: both gammas are exactly 0 and the success probability is its squared norm.
+        phi = preset_state("bell-CR")
+        before = phi.amplitudes.copy()
+        spec = TypicalSpec(n=4, delta=0.05)
+        rep = iid_experiment(phi, PRESET_ROLES, spec, SeededStream(136))
+        assert rep.success_probability == float(np.linalg.norm(tensor_power(phi, spec.n).amplitudes) ** 2)
+        assert (rep.plan.gamma1, rep.plan.gamma2) == (0.0, 0.0)
+        assert np.array_equal(phi.amplitudes, before)
+
+    def test_exact_identities_are_not_computed(self, monkeypatch):
+        # bell-CR n = 7 keeps every string in all five groups, and both protocol halves have a trivial
+        # kept factor.  So copies are rotated only to embed omega, hat and check; M is formed only by
+        # the search's residuals, two per iteration; and one check of a d_C x d_C matrix, U's, serves
+        # the plan, whose two closed-form halves share one U^H.
+        calls = {}
+
+        def spy(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls.setdefault(name, []).append((sys._getframe(1).f_code.co_name, np.shape(args[0])))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy(iid, "_rotate_copies")
+        for module in (decoupling, protocol):
+            spy(module, "_factors")
+        for module in (qstate, uhlmann):
+            spy(module, "_check_isometry")
+        rep = iid_experiment(preset_state("bell-CR"), PRESET_ROLES, TypicalSpec(n=7, delta=0.05), SeededStream(138))
+        p, plan = rep.allocation.partition, rep.plan
+        assert (p.d1, p.d2) == (1, 1)
+        assert [caller for caller, _ in calls["_rotate_copies"]] == ["_embed_typical_c"] * 3
+        assert [caller for caller, _ in calls["_factors"]] == ["_residuals"] * (2 * plan.iterations_used)
+        assert [shape for _, shape in calls["_check_isometry"]].count((p.total, p.total)) == 1
+        assert plan.encoder_alignment.isometry.z is plan.decoder_alignment.isometry.z
 
     def test_bell_ca_ebit_consumption_path(self):
         # E1 = 1 drives d2 > 1, exercising the wide encoder target (its cross

@@ -1,5 +1,7 @@
 """Distances, entropies, mutual informations, resource rates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,25 @@ class TestPureTraceDistanceEdgeCases:
             v *= rng.uniform(0.1, 1.0) / np.linalg.norm(v)  # subnormalized on purpose
             assert abs(pure_trace_distance(u, v) - pure_trace_distance(v, u)) <= 1e-15
             assert abs(pure_trace_distance(u, v) - eigvalsh_pure_trace_distance(u, v)) <= 1e-15
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_one_input_sized_temporary(self, order):
+        # FactoredIsometry.apply returns a transposed, F-ordered matrix.  In either order, u is
+        # read once into one C-ordered buffer that then holds u/nu, c u/nu and w in turn.
+        rng = SeededStream(16).generator()
+        u, v = rng.standard_normal((2, 512, 512)) + 1j * rng.standard_normal((2, 512, 512))
+        u, v = np.asarray(u / np.linalg.norm(u), order=order), v / np.linalg.norm(v)
+        before, want = u.copy(), pure_trace_distance(np.ascontiguousarray(u), v)
+        tracemalloc.start()
+        try:
+            got = pure_trace_distance(u, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= u.nbytes + 2**20, (peak, u.nbytes)
+        assert got == want
+        assert abs(got - eigvalsh_pure_trace_distance(u.reshape(-1), v.reshape(-1))) <= 1e-12
+        assert np.array_equal(u, before)
 
 
 class TestGramTraceDistance:

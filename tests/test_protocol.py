@@ -42,6 +42,7 @@ from qsr.sampling import SeededStream, random_pure_state
 from qsr.uhlmann import FactoredIsometry, _align
 
 from oracles import (
+    inverse_rotation,
     loop_partial_trace,
     protocol_isometries,
     protocol_run,
@@ -496,22 +497,51 @@ class TestRunsAgainstOracle:
         phi, hat, check = (random_pure_state(layout, SeededStream(350).derive(3 * tag + k)) for k in range(3))
         plan = build_plan(phi, PRESET_ROLES, CutPartition(*cut), refs=(hat, check), stream=SeededStream(351))
         assert plan.gamma1 > 0 and plan.gamma2 > 0 and plan.gamma1 != plan.gamma2
-        u_h = plan.unitary.matrix.conj().T
-        trivial = [(res, rest) for res, kept, rest in ((plan.encoder_alignment, cut[1], side[0]),
-                                                       (plan.decoder_alignment, cut[0], side[1])) if kept == 1]
-        assert trivial
-        for res, rest in trivial:
-            assert res.isometry.rest == rest
-            np.testing.assert_allclose(res.isometry.to_linear_map().matrix, np.kron(u_h, np.eye(rest)),
-                                       rtol=0.0, atol=1e-12)
-            assert abs(res.achieved_overlap - 1.0) <= 1e-12
-            assert res.distance_out <= 1e-12
+        assert _assert_closed_form(plan, hat, check) > 0
         self._check(plan)
+
+    def test_every_trivial_half_up_to_d_c_12(self):
+        # Every cut of d_C 1..12 with d1 = 1 or d2 = 1, with A, B and R dims in {1, 2, 3} and three
+        # distinct random states as phi, hat and check.
+        for k, ((d1, d2, d3), side) in enumerate(_all_cuts_and_sides()):
+            if min(d1, d2) == 1:
+                p = CutPartition(d1, d2, d3)
+                layout = SystemLayout.of(("C", p.total), *zip("ABR", side))
+                phi, hat, check = (random_pure_state(layout, SeededStream(360).derive(3 * k + j)) for j in range(3))
+                plan = build_plan(phi, PRESET_ROLES, p, refs=(hat, check), search_budget=1,
+                                  stream=SeededStream(361).derive(k))
+                assert _assert_closed_form(plan, hat, check) == (d1 == 1) + (d2 == 1)
 
     def test_householder_branch_of_an_iid_plan(self):
         rep = iid_experiment(preset_state("bell-CA"), PRESET_ROLES, TypicalSpec(n=5, delta=0.05), SeededStream(90))
         assert any(res.isometry.y is not None for res in (rep.plan.encoder_alignment, rep.plan.decoder_alignment))
         self._check(rep.plan)
+
+
+def _assert_closed_form(plan, hat, check):
+    """Check each half with a trivial kept factor against the dense oracle; return how many there are.
+
+    Its isometry is K = U^H (x) I on its C factor and A (W) or B (V), and its overlap and
+    distance_out are the exact 1 and 0 that K M = S gives, so the plan does not form K M.  The
+    oracle forms it densely and must give the half's pair state, which with a trivial kept factor
+    is the reference itself.  Both runs must stay within the measured bound.
+    """
+    u = plan.unitary.matrix
+    halves = [(res, ref, side) for res, ref, kept, side in ((plan.encoder_alignment, hat, plan.partition.d2, 1),
+                                                           (plan.decoder_alignment, check, plan.partition.d1, 2))
+              if kept == 1]
+    for res, ref, side in halves:
+        rest = ref.dims[side]
+        assert res.isometry.y is None and res.isometry.rest == rest
+        np.testing.assert_allclose(res.isometry.to_linear_map().matrix, np.kron(u.conj().T, np.eye(rest)),
+                                   rtol=0.0, atol=1e-12)
+        assert (res.achieved_overlap, res.distance_out) == (1.0, 0.0)
+        pair = _entangled(ref.amplitudes[None], 1).reshape(-1)
+        np.testing.assert_allclose(inverse_rotation(ref.amplitudes.reshape(ref.dims), u, side), pair,
+                                   rtol=0.0, atol=1e-12)
+    for rep in (run_forward(plan.phi, plan), run_reverse(plan)):
+        assert rep.distance_to_target <= plan.measured_bound
+    return len(halves)
 
 
 def _all_cuts_and_sides():
