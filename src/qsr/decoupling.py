@@ -18,6 +18,7 @@ decouple`` runs) purifies its operand once per call.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -25,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .qstate import DensityOperator, LayoutError, LinearMap, SystemLayout, marginal_purity
-from .qstate import _matricize, _purifying_factor
+from .qstate import _purifying_factor
 from .sampling import SeededStream, as_generator, haar_unitary_batch, haar_unitary_matrix
 
 DEFAULT_SEARCH_ITERS = 64
@@ -109,28 +110,40 @@ def _bound(vec: np.ndarray, dims: tuple[int, ...], side: Sequence[int], keep: st
     return decoupling_bound(dims[0], d_side, marginal_purity(vec, dims, (0, *side)), traced)
 
 
+@functools.lru_cache(maxsize=64)
+def _factor_shapes(dims: tuple[int, ...], side: tuple[int, ...], keep: str, p: CutPartition) -> tuple:
+    """S's axis order and rows, then M's on the (k, C1, C2, C3, *rest) stack U.vec, for one condition."""
+    axis = _keep_index(keep)
+    s_rows, rows = math.prod(dims[a] for a in side), (1 + axis, *(3 + a for a in side))
+    return ((*side, *(a for a in range(len(dims)) if a not in side)), s_rows,
+            (0, *rows, *(a for a in range(1, len(dims) + 3) if a not in rows)), (p.d1, p.d2)[axis] * s_rows)
+
+
+def _rotate(vec: np.ndarray, d_c: int, us: np.ndarray) -> np.ndarray:
+    return us @ vec.reshape(d_c, -1)  # U.vec for each U of the stack: one GEMM
+
+
 def _factors(
-    vec: np.ndarray, dims: tuple[int, ...], side: Sequence[int], keep: str, p: CutPartition, us: np.ndarray
+    vec: np.ndarray, dims: tuple[int, ...], side: Sequence[int], keep: str, p: CutPartition, us: np.ndarray,
+    rotated: "np.ndarray | None" = None,  # U.vec (:func:`_rotate`), when the caller formed it
 ) -> tuple[np.ndarray, np.ndarray]:
     """M (k, d_kept d_side, rest), each U.vec on (kept factor, side), and S (d_side, rest), ``vec`` on the side."""
     d_c = dims[0]
     p.check_total(d_c)
     if us.ndim != 3 or us.shape[1:] != (d_c, d_c):
         raise LayoutError(f"unitary stack shape {us.shape} does not match d_C = {d_c}")
-    axis = _keep_index(keep)
-    s = _matricize(vec, dims, side)
-    rotated = (us @ vec.reshape(d_c, -1)).reshape((len(us), p.d1, p.d2, p.d3, *dims[1:]))
-    rows = (1 + axis, *(3 + a for a in side))
-    order = (0, *rows, *(a for a in range(1, rotated.ndim) if a not in rows))
-    m = rotated.transpose(order).reshape(len(us), (p.d1, p.d2)[axis] * len(s), -1)
-    return m, s
+    s_order, s_rows, m_order, m_rows = _factor_shapes(dims, tuple(side), keep, p)
+    rotated = _rotate(vec, d_c, us) if rotated is None else rotated
+    m = rotated.reshape((len(us), p.d1, p.d2, p.d3, *dims[1:])).transpose(m_order).reshape(len(us), m_rows, -1)
+    return m, vec.reshape(dims).transpose(s_order).reshape(s_rows, -1)
 
 
 def _residuals(
-    vec: np.ndarray, dims: tuple[int, ...], side: Sequence[int], keep: str, p: CutPartition, us: np.ndarray
+    vec: np.ndarray, dims: tuple[int, ...], side: Sequence[int], keep: str, p: CutPartition, us: np.ndarray,
+    rotated: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """|| M M^H - pi_kept (x) S S^H ||_1 (M, S of :func:`_factors`) for each U, by one batched ``eigvalsh``."""
-    m, s = _factors(vec, dims, side, keep, p, us)
+    m, s = _factors(vec, dims, side, keep, p, us, rotated)
     return np.abs(np.linalg.eigvalsh(_difference(m, s, (p.d1, p.d2)[_keep_index(keep)]))).sum(axis=1)
 
 
@@ -149,8 +162,12 @@ def _difference(m: np.ndarray, s: np.ndarray, d_kept: int) -> np.ndarray:
 
 
 def _residuals_of(first: tuple, second: tuple, p: CutPartition) -> Callable:
-    """Two conditions' residuals at one unitary, for :func:`search_unitary`; each is a kernel operand."""
-    return lambda u: (float(_residuals(*first, p, u[None])[0]), float(_residuals(*second, p, u[None])[0]))
+    """Two conditions' residuals at one unitary, for :func:`search_unitary`; one U.vec if both read one vec."""
+    def residuals(u: np.ndarray) -> tuple[float, float]:
+        rotated = _rotate(first[0], p.total, u[None]) if first[0] is second[0] else None
+        return float(_residuals(*first, p, u[None], rotated)[0]), float(_residuals(*second, p, u[None], rotated)[0])
+
+    return residuals
 
 
 def _purified(rho: DensityOperator, keep: str) -> tuple:

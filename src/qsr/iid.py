@@ -134,12 +134,7 @@ def typical_stats(rho: "DensityOperator | np.ndarray", spec: TypicalSpec) -> Typ
             except OverflowError:  # mult exceeds the float range: keep its leading 64 bits
                 shift = mult.bit_length() - 64
                 weight += (mult >> shift) * 2.0 ** (lp + shift)
-    return TypicalProjector(
-        n=spec.n,
-        typical_types=tuple(types),
-        rank=rank,
-        weight=float(weight),
-    )
+    return TypicalProjector(spec.n, tuple(types), rank, float(weight))
 
 
 def _mask(stats: TypicalProjector, d: int) -> np.ndarray:
@@ -275,16 +270,8 @@ def allocate_partition(rank: int, rates: ResourceRates, spec: TypicalSpec) -> Ii
     s_c = q + e1 + e2  # 2 S(C) = I(B;C) + I(A;C) + I(C;R|B)
     eta = math.log2(d1 * d2 * d3) / n - s_c
     target3 = n * (q + 6.0 * t * delta + eta)
-    alloc = IidAllocation(
-        d1=d1,
-        d2=d2,
-        d3=d3,
-        eta_slack=eta,
-        padding=padding,
-        target_log2_d1=target1,
-        target_log2_d2=target2,
-        target_log2_d3=target3,
-    )
+    alloc = IidAllocation(d1, d2, d3, eta_slack=eta, padding=padding, target_log2_d1=target1,
+                          target_log2_d2=target2, target_log2_d3=target3)
     if abs(eta) > t * delta + 1e-9:
         raise InfeasibleAllocationError(
             f"eta slack {eta:.6f} outside [-{t * delta:.6f}, {t * delta:.6f}] "
@@ -395,18 +382,21 @@ def iid_experiment(
     def embed(vec: np.ndarray) -> PureState:
         return _embed_typical_c(layout, vec, n, c_vecs, c_mask, p.total)
 
-    # One C projection serves all three states: omega is its normalization,
-    # hat and check continue from it (A then BR, B then AR).  Each is dropped
-    # once embedded.
+    def reference(first: str, second: str) -> "PureState | None":  # hat or check; None: no projection acted
+        vec = project(project(projected, first), second, "R")
+        return None if vec is projected else embed(_normalized(vec)[0])
+
+    # One C projection serves all three states: omega is its normalization, hat and
+    # check continue from it (or are omega itself).  Each is dropped once embedded.
     psi = tensor_power(canon, n)
     layout = psi.layout
     projected = _project(layout, psi.amplitudes, ("C",), n, c_vecs, c_mask)
     del psi
-    hat = embed(_normalized(project(project(projected, "A"), "B", "R"))[0])
-    check = embed(_normalized(project(project(projected, "B"), "A", "R"))[0])
+    hat, check = reference("A", "B"), reference("B", "A")
     omega, p_success = _normalized(projected)
     del projected
     omega = embed(omega)
+    hat, check = (omega if ref is None else ref for ref in (hat, check))
 
     plan = _assemble(omega, hat, check, IDENTITY_ROLES, p, search_budget, stream.derive(1))
     report = run_forward(omega, plan)

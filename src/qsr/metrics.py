@@ -67,13 +67,13 @@ def pure_trace_distance(u: np.ndarray, v: np.ndarray) -> float:
     """
     v = np.asarray(v).reshape(-1)
     e1 = np.array(u, dtype=np.result_type(u, v, 1.0), order="C").reshape(-1)
-    nu = np.linalg.norm(e1)
+    nu = np.sqrt(e1.real.dot(e1.real) + e1.imag.dot(e1.imag))  # np.linalg.norm's formula, without its dispatch
     if nu < 1e-300:
         return float(np.linalg.norm(v) ** 2)
     e1 /= nu
     c = np.vdot(e1, v)
     w = np.subtract(v, np.multiply(c, e1, out=e1), out=e1)  # c first, as in c * e1: e1 * c may round otherwise
-    nw = np.linalg.norm(w)
+    nw = np.sqrt(w.real.dot(w.real) + w.imag.dot(w.imag))
     if nw < 1e-15:
         # Collinear: difference is rank one.
         return float(abs(nu**2 - abs(c) ** 2))

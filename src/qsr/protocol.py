@@ -13,7 +13,7 @@ C = C1 C2 C3 and two reference states, the plan assembles
   U^H (x) I aligns exactly, and both such halves share one U^H, checked as U.
 
 Each half is two label tuples, its shared systems and its pair state's order;
-layouts, run permutations and the size preflight are derived from them.  The
+its layouts, run reshapes and size preflight are derived once per (dims, cut).  The
 forward run takes Phi_{C2 A2} (x) phi through four steps on shared-first
 matrices: W's adjoint, one axis swap that hands C3 to Bob, V, and one
 transpose to the order of Phi_{C1 B1} (x) phi.  It sends log2 d3 qubits,
@@ -30,6 +30,8 @@ gamma1 + gamma2 + 2 sqrt(eps1) + 2 sqrt(eps2).
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -78,6 +80,7 @@ class _Half:
 
     def __init__(self, shared: tuple[str, ...], layout: tuple[str, ...]) -> None:
         self.shared, self.layout = shared, layout
+        self.side = _order(shared[1:], ROLES)
         self.own = tuple(lab for lab in ("C1", "C2", "C3", "A", "B", "R") if lab not in shared)
         self.out = tuple(lab for lab in layout if lab not in shared)
         self.inputs, self.outputs = shared + self.own, shared + self.out
@@ -101,13 +104,36 @@ def _sizes(dims: Sequence[int], p: CutPartition) -> dict[str, int]:
             "A2": p.d2, "Cpp": d_c, "App": d_a, "B1": p.d1, "Cp": d_c, "Bp": d_b}
 
 
-def _layout(labels: Sequence[str], sizes: Mapping[str, int]) -> SystemLayout:
-    return SystemLayout(tuple((lab, sizes[lab]) for lab in labels))
+# One half at one (dims, cut): the layouts of its isometry (own -> out) and pair state, the kept dimension, a run's
+# reshapes (layout, inputs, outputs), its shared rows, and its largest array: the pair state (which bounds a dense K
+# and its Y), the residual's Gram (shared^2) or Z (own^2, or d_C^2 for the U^H of a trivial kept factor).
+_Geometry = collections.namedtuple("_Geometry", "half source dest pair kept dims inputs outputs shared entries")
+
+
+@functools.lru_cache(maxsize=64)
+def _geometry(dims: tuple[int, ...], p: CutPartition) -> tuple[_Geometry, _Geometry]:
+    """The encoder's and the decoder's geometry at canonical (C, A, B, R) ``dims`` and cut ``p``.
+
+    Both halves and both runs of a plan read it, and plans of one shape (a cut grid, an n-sweep, a
+    cut scan) repeat it, so it is derived once per (dims, cut).
+    """
+    sizes = _sizes(dims, p)
+
+    def of(labels: tuple[str, ...]) -> tuple[int, ...]:
+        return tuple(sizes[lab] for lab in labels)
+
+    def geometry(h: _Half) -> _Geometry:
+        source, dest, pair = (SystemLayout(tuple(zip(labels, of(labels)))) for labels in (h.own, h.out, h.layout))
+        kept, shared = sizes[h.shared[0]], math.prod(of(h.shared))
+        entries = max(pair.total_dim, shared**2, (source.total_dim if kept > 1 else p.total) ** 2)
+        return _Geometry(h, source, dest, pair, kept, of(h.layout), of(h.inputs), of(h.outputs), shared, entries)
+
+    return geometry(_ENCODER), geometry(_DECODER)
 
 
 def _condition(half: _Half, ref: PureState) -> tuple:
     """The half's decoupling condition on canonical ``ref`` as an operand of the qsr.decoupling kernels."""
-    return ref.amplitudes, ref.dims, _order(half.shared[1:], ROLES), half.shared[0]
+    return ref.amplitudes, ref.dims, half.side, half.shared[0]
 
 
 def _eta(bound: float) -> float:
@@ -116,11 +142,18 @@ def _eta(bound: float) -> float:
 
 def _gamma(phi: PureState, ref: PureState) -> float:
     """Twice the trace distance from ``phi`` to the reference ``ref`` (0 when ``ref`` is ``phi`` itself)."""
-    if ref.layout != phi.layout:
+    if ref is not phi and ref.layout != phi.layout:
         raise LayoutError("reference states must share the redistributed state's layout")
-    if np.array_equal(ref.amplitudes, phi.amplitudes):
+    if ref is phi or np.array_equal(ref.amplitudes, phi.amplitudes):
         return 0.0
     return 2.0 * pure_trace_distance(phi.amplitudes, ref.amplitudes)
+
+
+@functools.lru_cache(maxsize=16)
+def _coefficient(d: int) -> np.ndarray:
+    """I/sqrt(d), built once per ``d``, read-only."""
+    (coef := np.eye(d, dtype=complex) / np.sqrt(d)).setflags(write=False)
+    return coef
 
 
 def _entangled(x: np.ndarray, d: int) -> np.ndarray:
@@ -132,40 +165,27 @@ def _entangled(x: np.ndarray, d: int) -> np.ndarray:
     Householder branch of the alignment a reflector's sign follows the sign of an exactly zero
     pivot, and all-positive zeros would pick another (equally valid) extension.
     """
-    coef = np.eye(d, dtype=complex) / np.sqrt(d)
-    return (coef[:, None, :, None] * x[None, :, None, :]).reshape(d * len(x), -1)
+    return (_coefficient(d)[:, None, :, None] * x[None, :, None, :]).reshape(d * len(x), -1)
 
 
-def _align(half: _Half, ref: PureState, u: np.ndarray, u_h: "np.ndarray | None", p: CutPartition,
+def _align(g: _Geometry, ref: PureState, u: np.ndarray, u_h: "np.ndarray | None", p: CutPartition,
            eps: float) -> UhlmannResult:
-    """The isometry taking U.ref (C split) to the half's pair state, with ``half.shared`` fixed.
+    """The isometry taking U.ref (C split) to the half's pair state, with the half's shared systems fixed.
 
     M (U.ref) is the decoupling kernel's, and N = I/sqrt(d_kept) (x) S, where S is ``ref`` on the side;
     the half's residual ``eps`` is ||M M^H - N N^H||_1.  A trivial kept factor makes the condition vacuous
     (Tr_C[U rho U^H] = Tr_C rho): K = U^H (x) I (``u_h``) gives K M = S, overlap 1 and distance_out 0.
     """
-    sizes = _sizes(ref.dims, p)
-    source, dest = _layout(half.own, sizes), _layout(half.out, sizes)
-    if sizes[half.shared[0]] == 1:
-        return UhlmannResult(_CheckedRotation(source, dest, u_h, rest=source.total_dim // p.total), 1.0, eps, 0.0)
-    m, s = _factors(*_condition(half, ref), p, u[None])
-    iso, overlap, distance = _uhlmann_align(m[0], _entangled(s, sizes[half.shared[0]]), source, dest)
+    if g.kept == 1:
+        return UhlmannResult(_CheckedRotation(g.source, g.dest, u_h, rest=g.source.total_dim // p.total), 1.0, eps, 0.0)
+    m, s = _factors(*_condition(g.half, ref), p, u[None])
+    iso, overlap, distance = _uhlmann_align(m[0], _entangled(s, g.kept), g.source, g.dest)
     return UhlmannResult(iso, overlap, eps, distance)
 
 
 def _plan_entries(dims: Sequence[int], p: CutPartition) -> int:
-    """Entries of the largest array of a plan and its runs, from the canonical (C, A, B, R) dims.
-
-    Over both halves: the pair state (which bounds a dense isometry and its factor Y), the residual's
-    Gram matrix (shared size squared) and the isometry's factor Z (own size squared, or d_C squared
-    for the U^H of a trivial kept factor).
-    """
-    sizes = _sizes(dims, p)
-    zs = {h: h.own if sizes[h.shared[0]] > 1 else ("C1", "C2", "C3") for h in (_ENCODER, _DECODER)}
-    return max(
-        math.prod(sizes[lab] for lab in labels) ** power
-        for h in (_ENCODER, _DECODER) for labels, power in ((h.layout, 1), (h.shared, 2), (zs[h], 2))
-    )
+    """Entries of the largest array of a plan and its runs, from the canonical (C, A, B, R) dims."""
+    return max(g.entries for g in _geometry(tuple(dims), p))
 
 
 def eta_bounds(hat: PureState, check: PureState, p: CutPartition) -> tuple[float, float]:
@@ -264,10 +284,9 @@ def build_plan(
     whose largest array would exceed the size guard is refused before
     anything is built.
     """
-    dims = [phi.layout.dim_of_set(g) for g in role_groups(phi.layout.labels, roles).values()]
-    p.check_total(dims[0])
-    check_guard("the protocol's largest array", _plan_entries(dims, p))
     canon = canonicalize(phi, roles)
+    p.check_total(canon.dims[0])
+    check_guard("the protocol's largest array", _plan_entries(canon.dims, p))
     hat, check = (canon, canon) if refs is None else (canonicalize(ref, roles) for ref in refs)
     return _assemble(canon, hat, check, roles, p, search_budget, stream)
 
@@ -291,8 +310,9 @@ def _assemble(
     u = LinearMap(c_layout, c_layout, u, kind="unitary")  # the plan's one check of U, which u_h relies on
     # res.eps2 is the encoder's (keep C2) residual, res.eps1 the decoder's
     # (keep C1); eta1 bounds the former, eta2 the latter.
-    w_res = _align(_ENCODER, hat, u.matrix, u_h, p, res.eps2)
-    v_res = _align(_DECODER, check, u.matrix, u_h, p, res.eps1)
+    encoder, decoder = _geometry(canon.dims, p)
+    w_res = _align(encoder, hat, u.matrix, u_h, p, res.eps2)
+    v_res = _align(decoder, check, u.matrix, u_h, p, res.eps1)
     return ProtocolPlan(
         partition=p, unitary=u, encoder_alignment=w_res, decoder_alignment=v_res,
         eta1=_eta(beta), eta2=_eta(alpha), gamma1=gamma1, gamma2=gamma2,
@@ -302,46 +322,42 @@ def _assemble(
 
 def initial_state(plan: ProtocolPlan) -> PureState:
     """Phi_{C2 A2} (x) phi with Alice holding A2 C'' A'' and Bob C2 B."""
-    sizes = _sizes(plan.phi.dims, plan.partition)
-    return PureState(_layout(_ENCODER.layout, sizes), _entangled(plan.phi.amplitudes[None], plan.partition.d2))
+    g = _geometry(plan.phi.dims, plan.partition)[0]
+    return PureState(g.pair, _entangled(plan.phi.amplitudes[None], g.kept))
 
 
 def final_state_target(plan: ProtocolPlan) -> PureState:
     """Phi_{C1 B1} (x) phi with Alice holding C1 A and Bob B1 C' B'."""
-    sizes = _sizes(plan.phi.dims, plan.partition)
-    return PureState(_layout(_DECODER.layout, sizes), _entangled(plan.phi.amplitudes[None], plan.partition.d1))
+    g = _geometry(plan.phi.dims, plan.partition)[1]
+    return PureState(g.pair, _entangled(plan.phi.amplitudes[None], g.kept))
 
 
-def _run(start: np.ndarray, undo: _Half, redo: _Half, plan: ProtocolPlan, sizes: Mapping[str, int]) -> ProtocolReport:
+def _run(start: np.ndarray, undo: _Geometry, redo: _Geometry, plan: ProtocolPlan) -> ProtocolReport:
     """Undo one half's isometry on the pair vector ``start``, hand C3 over, apply the other half's.
 
     The result is compared with the other half's pair vector of the plan's state.  The ledger is
     log2 d3 qubits sent, the start's ebit pair consumed and the target's distilled.
     """
-    undo_iso, redo_iso = ((plan.encoder_alignment if h is _ENCODER else plan.decoder_alignment).isometry
-                          for h in (undo, redo))
-
-    def dims(labels: tuple[str, ...]) -> list[int]:
-        return [sizes[lab] for lab in labels]
-
-    vec = start.reshape(dims(undo.layout)).transpose(undo.to_shared_first)
-    vec = undo_iso.adjoint(vec.reshape(math.prod(dims(undo.shared)), -1))
-    vec = vec.reshape(dims(undo.inputs)).transpose(_HANDOVER)
-    vec = redo_iso.apply(vec.reshape(math.prod(dims(redo.shared)), -1))
-    vec = vec.reshape(dims(redo.outputs)).transpose(redo.to_layout).reshape(-1)
-    distance = pure_trace_distance(vec, _entangled(plan.phi.amplitudes[None], sizes[redo.shared[0]]))
+    undo_iso, redo_iso = ((plan.encoder_alignment if g.half is _ENCODER else plan.decoder_alignment).isometry
+                          for g in (undo, redo))
+    vec = start.reshape(undo.dims).transpose(undo.half.to_shared_first)
+    vec = undo_iso.adjoint(vec.reshape(undo.shared, -1))
+    vec = vec.reshape(undo.inputs).transpose(_HANDOVER)
+    vec = redo_iso.apply(vec.reshape(redo.shared, -1))
+    vec = vec.reshape(redo.outputs).transpose(redo.half.to_layout).reshape(-1)
+    distance = pure_trace_distance(vec, _entangled(plan.phi.amplitudes[None], redo.kept))
     norm = float(np.linalg.norm(vec))
     if not norm >= 1e-12:
         raise InvariantViolation("final state has vanished; cannot report a normalized state")
     vec /= norm
     return ProtocolReport(
-        final_state=PureState(_layout(redo.layout, sizes), vec),
+        final_state=PureState(redo.pair, vec),
         distance_to_target=distance,
         analytic_bound=plan.analytic_bound,
         measured_bound=plan.measured_bound,
         qubits_sent=np.log2(plan.partition.d3),
-        ebits_consumed=np.log2(sizes[undo.shared[0]]),
-        ebits_distilled=np.log2(sizes[redo.shared[0]]),
+        ebits_consumed=np.log2(undo.kept),
+        ebits_distilled=np.log2(redo.kept),
         final_norm=norm,
     )
 
@@ -355,8 +371,8 @@ def run_forward(phi: PureState, plan: ProtocolPlan) -> ProtocolReport:
     canon = phi if phi.layout == plan.phi.layout else canonicalize(phi, plan.roles)
     if canon.layout != plan.phi.layout:
         raise LayoutError(f"state layout {canon.layout} does not match the plan's {plan.phi.layout}")
-    start = _entangled(canon.amplitudes[None], plan.partition.d2)
-    return _run(start, _ENCODER, _DECODER, plan, _sizes(plan.phi.dims, plan.partition))
+    encoder, decoder = _geometry(plan.phi.dims, plan.partition)
+    return _run(_entangled(canon.amplitudes[None], encoder.kept), encoder, decoder, plan)
 
 
 def run_reverse(plan: ProtocolPlan, upsilon_final: "PureState | None" = None) -> ProtocolReport:
@@ -366,12 +382,13 @@ def run_reverse(plan: ProtocolPlan, upsilon_final: "PureState | None" = None) ->
     Alice.  ``upsilon_final`` defaults to the ideal final state; a forward
     run's final_state can be passed directly.
     """
-    sizes = _sizes(plan.phi.dims, plan.partition)
+    encoder, decoder = _geometry(plan.phi.dims, plan.partition)
     if upsilon_final is None:
-        start = _entangled(plan.phi.amplitudes[None], plan.partition.d1)
+        start = _entangled(plan.phi.amplitudes[None], decoder.kept)
+    elif upsilon_final.layout == decoder.pair:
+        start = upsilon_final.amplitudes
     else:
         layout, start = permute_unchecked(upsilon_final.layout, upsilon_final.amplitudes, _DECODER.layout)
-        ideal = _layout(_DECODER.layout, sizes)
-        if layout != ideal:
-            raise LayoutError(f"reverse input layout {layout} != expected {ideal}")
-    return _run(start, _DECODER, _ENCODER, plan, sizes)
+        if layout != decoder.pair:
+            raise LayoutError(f"reverse input layout {layout} != expected {decoder.pair}")
+    return _run(start, decoder, encoder, plan)

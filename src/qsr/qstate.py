@@ -17,6 +17,7 @@ Public surface:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -78,20 +79,17 @@ class SystemLayout:
     def of(*subsystems: tuple[str, int]) -> "SystemLayout":
         return SystemLayout(tuple((str(lab), int(d)) for lab, d in subsystems))
 
-    @property
+    @functools.cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(lab for lab, _ in self.subsystems)
 
-    @property
+    @functools.cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.subsystems)
 
-    @property
+    @functools.cached_property
     def total_dim(self) -> int:
-        out = 1
-        for _, d in self.subsystems:
-            out *= d
-        return out
+        return math.prod(self.dims)
 
     def axis(self, label: str) -> int:
         for i, (lab, _) in enumerate(self.subsystems):
@@ -106,10 +104,7 @@ class SystemLayout:
         return self.subsystems[self.axis(label)][1]
 
     def dim_of_set(self, labels: Iterable[str]) -> int:
-        out = 1
-        for lab in labels:
-            out *= self.dim_of(lab)
-        return out
+        return math.prod(self.dim_of(lab) for lab in labels)
 
     def restrict(self, labels: Iterable[str]) -> "SystemLayout":
         """Sub-layout of ``labels`` kept in their original relative order."""
@@ -206,7 +201,10 @@ def _gram_rows(a: np.ndarray):
 
 def _check_isometry(a: np.ndarray, *defects: float) -> None:
     """Refuse ``a`` unless |a^H a - I| (taken blockwise) and every further ``defect`` are within tolerance."""
-    defect = np.max([np.abs(g - np.eye(*g.shape, k=j)).max() for j, g in _gram_rows(a)] + list(defects))
+    defect = functools.reduce(np.maximum, defects, 0.0)  # unlike max(), np.maximum keeps a NaN
+    for j, g in _gram_rows(a):
+        g.reshape(-1)[j :: g.shape[1] + 1] -= 1.0  # a^H a - I in place: the block's diagonal starts at column j
+        defect = np.maximum(defect, np.abs(g).max())
     if not defect <= INVARIANT_TOL:
         raise InvariantViolation(f"isometry defect {defect} exceeds {INVARIANT_TOL}")
 
@@ -314,9 +312,7 @@ def matrix_partial_trace(
     for ax in reversed([i for i in range(k) if i not in set(keep)]):
         n_row = arr.ndim // 2
         arr = np.trace(arr, axis1=ax, axis2=n_row + ax)
-    d_keep = 1
-    for ax in keep:
-        d_keep *= dims[ax]
+    d_keep = math.prod(dims[ax] for ax in keep)
     return arr.reshape(d_keep, d_keep)
 
 
@@ -457,9 +453,7 @@ def split_subsystem(layout: SystemLayout, label: str, parts: Sequence[tuple[str,
     state over the old and new layout bit-identical.
     """
     axis = layout.axis(label)
-    prod = 1
-    for _, d in parts:
-        prod *= d
+    prod = math.prod(d for _, d in parts)
     if prod != layout.dim_of(label):
         raise LayoutError(
             f"split of {label!r}: factor product {prod} != subsystem dimension {layout.dim_of(label)}"

@@ -335,9 +335,10 @@ class TestExperimentDriver:
 
     def test_exact_identities_are_not_computed(self, monkeypatch):
         # bell-CR n = 7 keeps every string in all five groups, and both protocol halves have a trivial
-        # kept factor.  So copies are rotated only to embed omega, hat and check; M is formed only by
-        # the search's residuals, two per iteration; and one check of a d_C x d_C matrix, U's, serves
-        # the plan, whose two closed-form halves share one U^H.
+        # kept factor.  So copies are rotated only to embed omega, which is also hat and check; U.omega
+        # is formed once per search iteration and M only by the search's residuals, two per iteration;
+        # and one check of a d_C x d_C matrix, U's, serves the plan, whose two closed-form halves share
+        # one U^H.
         calls = {}
 
         def spy(module, name):
@@ -352,12 +353,14 @@ class TestExperimentDriver:
         spy(iid, "_rotate_copies")
         for module in (decoupling, protocol):
             spy(module, "_factors")
+        spy(decoupling, "_rotate")
         for module in (qstate, uhlmann):
             spy(module, "_check_isometry")
         rep = iid_experiment(preset_state("bell-CR"), PRESET_ROLES, TypicalSpec(n=7, delta=0.05), SeededStream(138))
         p, plan = rep.allocation.partition, rep.plan
         assert (p.d1, p.d2) == (1, 1)
-        assert [caller for caller, _ in calls["_rotate_copies"]] == ["_embed_typical_c"] * 3
+        assert [caller for caller, _ in calls["_rotate_copies"]] == ["_embed_typical_c"]
+        assert [caller for caller, _ in calls["_rotate"]] == ["residuals"] * plan.iterations_used
         assert [caller for caller, _ in calls["_factors"]] == ["_residuals"] * (2 * plan.iterations_used)
         assert [shape for _, shape in calls["_check_isometry"]].count((p.total, p.total)) == 1
         assert plan.encoder_alignment.isometry.z is plan.decoder_alignment.isometry.z

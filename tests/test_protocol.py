@@ -1,11 +1,13 @@
 """Plan assembly, forward/reverse runs, bounds, and the resource ledger."""
 
+import collections
 import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from qsr import protocol, qstate, uhlmann
 from qsr.decoupling import KEEP_C1, KEEP_C2, CutPartition, _factors, decoupling_bound, residual, single_bound
 from qsr.iid import TypicalSpec, iid_experiment
 from qsr.metrics import gram_trace_distance, pure_trace_distance
@@ -17,7 +19,7 @@ from qsr.protocol import (
     _condition,
     _entangled,
     _gamma,
-    _layout,
+    _geometry,
     _plan_entries,
     _sizes,
     build_plan,
@@ -552,6 +554,77 @@ def _all_cuts_and_sides():
         yield from itertools.product(cuts, itertools.product((1, 2, 3), repeat=3))
 
 
+def _fresh_layout(labels, sizes):
+    return SystemLayout(tuple((lab, sizes[lab]) for lab in labels))
+
+
+class TestGeometryCache:
+    """Each half's geometry is derived once per (canonical dims, cut) and read from a cache."""
+
+    def test_cached_geometry_is_a_fresh_derivation(self):
+        # Every cut meets many dims in turn, so a cache keyed on less than (dims, cut) hands back
+        # another shape's geometry.  (The preflight's closed form is checked on the same cases.)
+        for (d1, d2, d3), side in _all_cuts_and_sides():
+            p = CutPartition(d1, d2, d3)
+            dims = (p.total, *side)
+            sizes = _sizes(dims, p)
+            for half, g in zip((_ENCODER, _DECODER), _geometry(dims, p)):
+                assert g.half is half
+                assert (g.source, g.dest, g.pair) == tuple(_fresh_layout(labels, sizes)
+                                                          for labels in (half.own, half.out, half.layout))
+                assert (g.dims, g.inputs, g.outputs) == tuple(tuple(sizes[lab] for lab in labels)
+                                                             for labels in (half.layout, half.inputs, half.outputs))
+                assert g.kept == sizes[half.shared[0]]
+                assert g.shared == math.prod(sizes[lab] for lab in half.shared)
+
+    def test_interleaved_shapes_give_the_plans_built_alone(self):
+        # Shapes X and Y share a cut; Z has another d_C.
+        shapes = [((4, 2, 2, 2), (2, 1, 2)), ((4, 3, 1, 2), (2, 1, 2)), ((6, 1, 2, 3), (3, 2, 1))]
+
+        def outcome(tag):
+            dims, cut = shapes[tag]
+            phi = random_pure_state(SystemLayout.of(*zip("CABR", dims)), SeededStream(370).derive(tag))
+            plan = build_plan(phi, PRESET_ROLES, CutPartition(*cut), stream=SeededStream(371).derive(tag))
+            fwd = run_forward(phi, plan)
+            rev = run_reverse(plan, fwd.final_state)
+            states = (fwd.final_state, rev.final_state, initial_state(plan), final_state_target(plan))
+            factors = [f for res in (plan.encoder_alignment, plan.decoder_alignment)
+                       for f in (res.isometry.z, res.isometry.y, res.isometry.t) if f is not None]
+            return ([repr(x) for x in (plan, fwd, rev)] + [s.layout for s in states]
+                    + [a.tobytes() for a in (*factors, *(s.amplitudes for s in states))])
+
+        alone = []
+        for tag in range(len(shapes)):
+            _geometry.cache_clear()
+            alone.append(outcome(tag))
+        _geometry.cache_clear()
+        for tag in (0, 1, 0, 2, 1, 0):
+            assert outcome(tag) == alone[tag]
+
+    @pytest.mark.parametrize("cut", ALL_PARTITIONS_OF_4)
+    def test_a_warm_shape_derives_nothing(self, cut, monkeypatch):
+        # Once its (dims, cut) is warm, a plan and both its runs build no size map and construct one
+        # layout, the plan's unitary's: every other typed value they return reuses a cached one.  They
+        # check as many isometries as ever: U and each half with a nontrivial kept factor.
+        p, phi = CutPartition(*cut), _random_phi(7)
+
+        def op():
+            plan = build_plan(phi, PRESET_ROLES, p, stream=SeededStream(99))
+            run_reverse(plan, run_forward(phi, plan).final_state)
+
+        op()
+        calls = collections.Counter()
+        for owner, name in ((protocol, "_sizes"), (SystemLayout, "__post_init__"), (qstate, "_check_isometry"),
+                            (uhlmann, "_check_isometry")):
+            def counted(*args, _original=getattr(owner, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        op()
+        assert calls == {"__post_init__": 1, "_check_isometry": 1 + (p.d1 > 1) + (p.d2 > 1)}
+
+
 class TestPreflight:
     def test_plan_entries_match_the_closed_form(self):
         # The preflight is derived from the halves' label tuples; the closed
@@ -644,7 +717,7 @@ class TestHouseholderExtension:
                 n = np.kron(np.eye(d, dtype=complex) / np.sqrt(d), s)
 
                 def factors(n):
-                    k, _, _ = _align(m[0], n, _layout(half.own, sizes), _layout(half.out, sizes))
+                    k, _, _ = _align(m[0], n, _fresh_layout(half.own, sizes), _fresh_layout(half.out, sizes))
                     return [f.tobytes() for f in (k.z, k.y, k.t)]
 
                 want = [f.tobytes() for f in (iso.z, iso.y, iso.t)]
