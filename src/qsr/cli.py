@@ -148,6 +148,11 @@ def _emit(record: dict[str, Any]) -> None:
     sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _flags(args: argparse.Namespace) -> dict[str, Any]:
+    """Every parsed flag of a record except the seed (recorded on its own) and the sweep (a CSV run has no record)."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "func", "seed", "sweep")}
+
+
 def _report(command: str, inputs: dict[str, Any], results: dict[str, Any], timings: dict[str, float]) -> dict[str, Any]:
     inputs = dict(inputs)
     inputs.setdefault("generator_version", GENERATOR_VERSION)
@@ -179,7 +184,7 @@ def cmd_rates(args: argparse.Namespace) -> int:
     }
     _emit(_report(
         "rates",
-        {"state_digest": digest, "seed": args.seed, "flags": {"state": args.state, "roles": args.roles}},
+        {"state_digest": digest, "seed": args.seed, "flags": _flags(args)},
         results,
         {"total_s": time.perf_counter() - t0},
     ))
@@ -228,10 +233,7 @@ def cmd_decouple(args: argparse.Namespace) -> int:
     }
     _emit(_report(
         "decouple",
-        {"seed": args.seed, "flags": {
-            "partition": args.partition, "samples": args.samples, "dim_c": args.dim_c,
-            "dim_f": args.dim_f, "dim_e": args.dim_e, "omega": args.omega, "psi": args.psi,
-            "rank": args.rank, "search_budget": args.search_budget}},
+        {"seed": args.seed, "flags": _flags(args)},
         results,
         {"total_s": time.perf_counter() - t0},
     ))
@@ -271,9 +273,7 @@ def cmd_protocol(args: argparse.Namespace) -> int:
     }
     _emit(_report(
         "protocol",
-        {"state_digest": digest, "seed": args.seed, "flags": {
-            "state": args.state, "roles": args.roles, "partition": args.partition,
-            "reverse": args.reverse, "search_budget": args.search_budget}},
+        {"state_digest": digest, "seed": args.seed, "flags": _flags(args)},
         results,
         {"plan_s": t_run - t_plan, "run_s": t_end - t_run, "total_s": t_end - t0},
     ))
@@ -325,17 +325,18 @@ def cmd_iid(args: argparse.Namespace) -> int:
             raise UsageError(f"--sweep wants n1..n2, got {args.sweep!r}") from exc
         if lo > hi:
             raise UsageError(f"--sweep {args.sweep!r} is empty: n1 must not exceed n2")
-        ns = list(range(lo, hi + 1))
+        ns = range(lo, hi + 1)
     else:
-        ns = [args.n]
-    try:
-        specs = [TypicalSpec(n=n, delta=args.delta, t=args.t) for n in ns]
+        ns = (args.n,)
+    try:  # n only grows, so the first spec settles every domain check; the rest are built as the loop reaches them
+        TypicalSpec(n=ns[0], delta=args.delta, t=args.t)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
     if args.sweep is not None:
         sys.stdout.write(",".join(_CSV_FIELDS) + "\n")
-    for spec in specs:
+    for n in ns:
+        spec = TypicalSpec(n=n, delta=args.delta, t=args.t)
         t0 = time.perf_counter()
         rep = iid_experiment(state, roles, spec, stream=stream.derive(spec.n), guard=args.guard)
         elapsed = time.perf_counter() - t0
@@ -347,9 +348,7 @@ def cmd_iid(args: argparse.Namespace) -> int:
         else:
             _emit(_report(
                 "iid",
-                {"state_digest": digest, "seed": args.seed, "flags": {
-                    "state": args.state, "roles": args.roles, "n": spec.n,
-                    "delta": args.delta, "t": args.t, "guard": args.guard}},
+                {"state_digest": digest, "seed": args.seed, "flags": _flags(args)},
                 results,
                 {"total_s": elapsed},
             ))

@@ -18,15 +18,14 @@ decouple`` runs) purifies its operand once per call.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .qstate import DensityOperator, LayoutError, LinearMap, SystemLayout, marginal_purity
-from .qstate import _purifying_factor
+from .qstate import DensityOperator, LayoutError, LinearMap, SystemLayout, check_guard, marginal_purity
+from .qstate import _matricize, _purifying_factor
 from .sampling import SeededStream, as_generator, haar_unitary_batch, haar_unitary_matrix
 
 DEFAULT_SEARCH_ITERS = 64
@@ -110,15 +109,6 @@ def _bound(vec: np.ndarray, dims: tuple[int, ...], side: Sequence[int], keep: st
     return decoupling_bound(dims[0], d_side, marginal_purity(vec, dims, (0, *side)), traced)
 
 
-@functools.lru_cache(maxsize=64)
-def _factor_shapes(dims: tuple[int, ...], side: tuple[int, ...], keep: str, p: CutPartition) -> tuple:
-    """S's axis order and rows, then M's on the (k, C1, C2, C3, *rest) stack U.vec, for one condition."""
-    axis = _keep_index(keep)
-    s_rows, rows = math.prod(dims[a] for a in side), (1 + axis, *(3 + a for a in side))
-    return ((*side, *(a for a in range(len(dims)) if a not in side)), s_rows,
-            (0, *rows, *(a for a in range(1, len(dims) + 3) if a not in rows)), (p.d1, p.d2)[axis] * s_rows)
-
-
 def _rotate(vec: np.ndarray, d_c: int, us: np.ndarray) -> np.ndarray:
     return us @ vec.reshape(d_c, -1)  # U.vec for each U of the stack: one GEMM
 
@@ -127,15 +117,14 @@ def _factors(
     vec: np.ndarray, dims: tuple[int, ...], side: Sequence[int], keep: str, p: CutPartition, us: np.ndarray,
     rotated: "np.ndarray | None" = None,  # U.vec (:func:`_rotate`), when the caller formed it
 ) -> tuple[np.ndarray, np.ndarray]:
-    """M (k, d_kept d_side, rest), each U.vec on (kept factor, side), and S (d_side, rest), ``vec`` on the side."""
-    d_c = dims[0]
-    p.check_total(d_c)
-    if us.ndim != 3 or us.shape[1:] != (d_c, d_c):
-        raise LayoutError(f"unitary stack shape {us.shape} does not match d_C = {d_c}")
-    s_order, s_rows, m_order, m_rows = _factor_shapes(dims, tuple(side), keep, p)
-    rotated = _rotate(vec, d_c, us) if rotated is None else rotated
-    m = rotated.reshape((len(us), p.d1, p.d2, p.d3, *dims[1:])).transpose(m_order).reshape(len(us), m_rows, -1)
-    return m, vec.reshape(dims).transpose(s_order).reshape(s_rows, -1)
+    """M (k, d_kept d_side, rest), each U.vec on (kept factor, side), and S (d_side, rest), ``vec`` on the side.
+
+    A raw kernel: the entry points check that ``p`` factors d_C and that ``us`` is (k, d_C, d_C).
+    """
+    k, axis = len(us), _keep_index(keep)
+    rotated = _rotate(vec, dims[0], us) if rotated is None else rotated
+    m = _matricize(rotated, (k, p.d1, p.d2, p.d3, *dims[1:]), (0, 1 + axis, *(3 + a for a in side)))
+    return m.reshape(k, -1, m.shape[1]), _matricize(vec, dims, side)
 
 
 def _residuals(
@@ -197,6 +186,10 @@ def residual_stack(rho: DensityOperator, us: np.ndarray, p: CutPartition, keep: 
     ``rho`` is purified once and the stack goes through one kernel call.
     Memory: a few stacks of k vectors of rank(rho) times ``rho``'s dimension.
     """
+    d_c = rho.layout.dims[0]
+    p.check_total(d_c)
+    if us.ndim != 3 or us.shape[1:] != (d_c, d_c):
+        raise LayoutError(f"unitary stack shape {us.shape} does not match d_C = {d_c}")
     return _residuals(*_purified(rho, keep), p, us)
 
 
@@ -234,12 +227,15 @@ def haar_average_check(
     consecutive blocks of ``HAAR_BLOCK_BYTES // rho.matrix.nbytes`` unitaries
     (at least one), so the generator yields exactly ``n_samples`` unitaries,
     the same as one-by-one draws, while the rotated-operator stack stays
-    within the byte budget whatever ``n_samples`` is.
+    within the byte budget whatever ``n_samples`` is.  A partition that does not factor
+    d_C, or more samples than the size guard admits, is refused before the first draw.
     """
     if n_samples < MIN_HAAR_SAMPLES:
         raise ValueError(f"need at least {MIN_HAAR_SAMPLES} samples, got {n_samples}")
-    rng = as_generator(stream)
+    check_guard("the Haar average", n_samples)  # it stores one squared residual per sample
     condition, d_c = _purified(rho, keep), rho.layout.dims[0]
+    bound_value = _bound(*condition, p)
+    rng = as_generator(stream)
     block = max(1, HAAR_BLOCK_BYTES // rho.matrix.nbytes)
     sq = np.empty(n_samples)
     for start in range(0, n_samples, block):
@@ -247,7 +243,6 @@ def haar_average_check(
         sq[start:start + len(us)] = _residuals(*condition, p, us) ** 2
     mean = float(sq.mean())
     se = float(sq.std(ddof=1) / np.sqrt(n_samples))
-    bound_value = _bound(*condition, p)
     return HaarAverageCheck(
         mean_square=mean,
         std_error=se,

@@ -347,10 +347,10 @@ def iid_experiment(
     C copies before allocating the cut.
     """
     canon = canonicalize(phi, roles)
-    check_guard(f"phi^(x){spec.n}", canon.layout.total_dim ** spec.n, guard)
-    axes = len(canon.layout.dims) * spec.n
+    axes = len(canon.layout.dims) * spec.n  # checked first: it bounds n before total_dim ** n is formed
     if axes > _MAX_AXES:
         raise GuardExceededError(f"phi^(x){spec.n} needs {axes} per-copy axes; numpy allows {_MAX_AXES}")
+    check_guard(f"phi^(x){spec.n}", canon.layout.total_dim ** spec.n, guard)
     for group in (("C",), ("A",), ("B", "R"), ("B",), ("A", "R")):
         d = canon.layout.dim_of_set(group)
         types = math.comb(spec.n + d - 1, d - 1)

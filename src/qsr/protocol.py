@@ -46,6 +46,7 @@ from .qstate import (
     LinearMap,
     PureState,
     SystemLayout,
+    _matricize,
     check_guard,
     permute_unchecked,
 )
@@ -74,8 +75,8 @@ class _Half:
 
     ``shared``: the kept factor of C, then the side U decouples it from; ``layout``: the order of the
     half's pair state.  Its isometry maps ``own`` (the rest of the C-split reference) to ``out``; a
-    run's shared-first orders are ``inputs`` and ``outputs``, and ``to_shared_first``/``to_layout``
-    permute between ``layout`` and ``outputs``.
+    run's shared-first orders are ``inputs`` and ``outputs``; it matricizes ``layout`` on
+    ``shared_axes`` and permutes ``outputs`` back by ``to_layout``.
     """
 
     def __init__(self, shared: tuple[str, ...], layout: tuple[str, ...]) -> None:
@@ -84,7 +85,7 @@ class _Half:
         self.own = tuple(lab for lab in ("C1", "C2", "C3", "A", "B", "R") if lab not in shared)
         self.out = tuple(lab for lab in layout if lab not in shared)
         self.inputs, self.outputs = shared + self.own, shared + self.out
-        self.to_shared_first, self.to_layout = _order(self.outputs, layout), _order(layout, self.outputs)
+        self.shared_axes, self.to_layout = _order(shared, layout), _order(layout, self.outputs)
 
 
 # The encoder W is built from the hat reference, the decoder V from the check
@@ -340,8 +341,7 @@ def _run(start: np.ndarray, undo: _Geometry, redo: _Geometry, plan: ProtocolPlan
     """
     undo_iso, redo_iso = ((plan.encoder_alignment if g.half is _ENCODER else plan.decoder_alignment).isometry
                           for g in (undo, redo))
-    vec = start.reshape(undo.dims).transpose(undo.half.to_shared_first)
-    vec = undo_iso.adjoint(vec.reshape(undo.shared, -1))
+    vec = undo_iso.adjoint(_matricize(start, undo.dims, undo.half.shared_axes))
     vec = vec.reshape(undo.inputs).transpose(_HANDOVER)
     vec = redo_iso.apply(vec.reshape(redo.shared, -1))
     vec = vec.reshape(redo.outputs).transpose(redo.half.to_layout).reshape(-1)

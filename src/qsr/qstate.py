@@ -46,9 +46,10 @@ DEFAULT_GUARD = 2**20  # max array entries the library and the CLI will material
 
 
 def check_guard(what: str, entries: int, guard: int = DEFAULT_GUARD) -> None:
-    """Refuse, before any allocation, an array of more than ``guard`` entries."""
+    """Refuse, before any allocation, an array of more than ``guard`` entries (a count above 2^63 by its magnitude)."""
     if entries > guard:
-        raise GuardExceededError(f"{what} needs {entries} entries, above the guard of {guard}")
+        count = entries if entries <= 2**63 else f"at least 2^{entries.bit_length() - 1}"  # a huge int has no str()
+        raise GuardExceededError(f"{what} needs {count} entries, above the guard of {guard}")
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +245,18 @@ class LinearMap:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256)
+def _axis_order(ndim: int, axes: tuple[int, ...]) -> tuple[int, ...]:
+    return (*axes, *(a for a in range(ndim) if a not in axes))
+
+
 def _matricize(vec: np.ndarray, dims: Sequence[int], axes: Sequence[int]) -> np.ndarray:
-    """``vec`` as a matrix: rows run over ``axes`` (in the given order), columns over the rest."""
-    order = (*axes, *(a for a in range(len(dims)) if a not in axes))
-    return np.asarray(vec).reshape(dims).transpose(order).reshape(math.prod(dims[a] for a in axes), -1)
+    """``vec`` as a matrix: rows run over ``axes`` (in the given order), columns over the rest.
+
+    The one subsystems-first reshape (partial traces, maps, decoupling factors, protocol runs).
+    """
+    order = _axis_order(len(dims), tuple(axes))
+    return np.asarray(vec).reshape(dims).transpose(order).reshape(math.prod([dims[a] for a in axes]), -1)
 
 
 def _smaller_gram(vec: np.ndarray, dims: Sequence[int], keep_axes: Sequence[int]) -> np.ndarray:
@@ -303,17 +312,13 @@ def vector_partial_trace(
 def matrix_partial_trace(
     mat: np.ndarray, dims: Sequence[int], keep_axes: Sequence[int]
 ) -> np.ndarray:
-    """Partial trace of a square matrix over all axes not in ``keep_axes``."""
+    """Partial trace of a square matrix over all axes not in ``keep_axes``: one trace over the traced block."""
     dims = tuple(int(d) for d in dims)
-    k = len(dims)
     keep = sorted(keep_axes)
-    arr = np.asarray(mat).reshape(dims + dims)
-    # Trace out non-kept axes pairwise, highest axis first to keep indices stable.
-    for ax in reversed([i for i in range(k) if i not in set(keep)]):
-        n_row = arr.ndim // 2
-        arr = np.trace(arr, axis1=ax, axis2=n_row + ax)
-    d_keep = math.prod(dims[ax] for ax in keep)
-    return arr.reshape(d_keep, d_keep)
+    d_keep = math.prod([dims[a] for a in keep])
+    m = _matricize(mat, dims + dims, (*keep, *(len(dims) + a for a in keep)))
+    d_traced = math.prod(dims) // d_keep
+    return np.trace(m.reshape(d_keep, d_keep, d_traced, d_traced), axis1=2, axis2=3)
 
 
 def gram_spectrum(vec: np.ndarray, dims: Sequence[int], keep_axes: Sequence[int]) -> np.ndarray:

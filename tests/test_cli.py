@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qsr.cli import main
+from qsr.cli import _CSV_FIELDS, main
 from qsr.qstate import state_from_json
 
 
@@ -135,6 +135,10 @@ class TestIid:
         assert (res["d1"], res["d2"], res["d3"]) == (1, 1, 64)
         assert res["distance_to_target"] <= res["measured_bound"]
 
+    def test_non_flat_preset_runs_to_completion(self, capsys):
+        res = run_json(capsys, "iid", "--state", "tilted-CR", "--n", "8", "--delta", "0.3")["results"]
+        assert res["distance_to_target"] <= res["measured_bound"]
+
     @pytest.mark.parametrize("delta,t", [("1e308", "2"), ("0.5", "1e308")])
     def test_overflowing_window_gives_trivial_ebit_registers(self, capsys, delta, t):
         # 3 t delta overflows to inf, so both ebit targets are -inf.
@@ -205,6 +209,13 @@ class TestExitCodes:
         assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]
         assert run_cli(capsys, *argv, "--sweep", "1..3") == (0, out, "")
 
+    def test_endless_sweep_is_refused_at_its_first_oversized_n(self, capsys):
+        # n = 17 is past the guard and the axis limit; the sweep's n values are taken one at a time,
+        # so the two billion that follow are never listed.
+        code, out, err = run_cli(capsys, "iid", "--state", "bell-CR", "--sweep", "17..2000000000", "--delta", "0.05")
+        assert code == 2 and out == ",".join(_CSV_FIELDS) + "\n"
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_infeasible_allocation_is_two(self, capsys):
         code, _, err = run_cli(capsys, "iid", "--state", "tilted-CR", "--n", "3",
                                "--delta", "0.4", "--seed", "1")
@@ -253,6 +264,13 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *(str(big) if a == "{big}" else a for a in argv))
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "guard" in err and "Traceback" not in err
+
+    def test_count_too_long_to_print_is_refused(self, capsys):
+        # The operand would have (2 * 10^2199 * 2)^2 entries, a count of 4,400 digits.
+        big = 10**2199
+        code, out, err = run_cli(capsys, "decouple", "--dim-c", str(2 * big), "--partition", f"2,{big},1")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "needs at least 2^14613 entries" in err
 
     def test_thousand_level_register_runs(self, capsys, tmp_path):
         # A 1000-level C copy has 1000 eigenvalues to enumerate types over.
@@ -326,6 +344,8 @@ _FLAG_MALFORMED = {
     "--dims": ("C=0", "C", "C=2,C=2"),
     "--sweep": ("5..2", "1..x", "0..1"),
     "--out": ("{dir}", "{missing}/x.json"),
+    "--n": ("7200",),  # 4^7200 has more digits than Python will print
+    "--samples": ("100000000000",),  # 745 GiB of squared residuals
 }
 
 

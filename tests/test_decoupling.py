@@ -21,6 +21,8 @@ from qsr.decoupling import (
 from qsr.decoupling import _difference, _residuals
 from qsr.metrics import hermitian_trace_distance
 from qsr.qstate import (
+    DEFAULT_GUARD,
+    GuardExceededError,
     LayoutError,
     SystemLayout,
     basis_state,
@@ -163,6 +165,17 @@ class TestResidualStack:
         with pytest.raises(LayoutError):
             residual_stack(_rank2(8, 2, 15), np.eye(4)[None], CutPartition(2, 2, 2), KEEP_C1)
 
+    @pytest.mark.parametrize("us", [np.eye(8), np.eye(8)[None, None]], ids=["one-matrix", "4-d"])
+    def test_stack_must_be_three_dimensional(self, us):
+        with pytest.raises(LayoutError):
+            residual_stack(_rank2(8, 2, 15), us, CutPartition(2, 2, 2), KEEP_C1)
+
+    def test_partition_must_factor_dimension(self):
+        with pytest.raises(LayoutError):
+            residual_stack(_rank2(8, 2, 15), np.eye(8)[None], CutPartition(2, 2, 1), KEEP_C1)
+        with pytest.raises(LayoutError):
+            residual(_rank2(8, 2, 15), np.eye(8), CutPartition(2, 2, 3), KEEP_C2)
+
 
 class TestResidualKernel:
     @pytest.mark.parametrize("keep", [KEEP_C1, KEEP_C2])
@@ -277,6 +290,19 @@ class TestHaarAverage:
         omega = _rank2(4, 2, 9)
         with pytest.raises(ValueError):
             haar_average_check(omega, CutPartition(2, 2, 1), KEEP_C1, 99, SeededStream(59))
+
+    @pytest.mark.parametrize("cut,samples,error", [
+        ((2, 2, 2), 200, LayoutError),  # does not factor d_C = 4
+        ((2, 2, 1), DEFAULT_GUARD + 1, GuardExceededError),  # more squares than the guard admits
+    ], ids=["partition", "samples"])
+    def test_refuses_before_the_first_draw(self, cut, samples, error):
+        # The bound checks the partition without randomness, so a refusal leaves a caller's
+        # generator where it was: no unitary was drawn.
+        rng = np.random.default_rng(68)
+        before = rng.bit_generator.state
+        with pytest.raises(error):
+            haar_average_check(_rank2(4, 2, 10), CutPartition(*cut), KEEP_C1, samples, rng)
+        assert rng.bit_generator.state == before
 
 
 class TestSimultaneousSearch:

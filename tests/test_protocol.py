@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -281,7 +282,46 @@ class TestReverseRuns:
             assert rep.distance_to_target <= min(2.0, rep.measured_bound) + 1e-8
 
 
+@functools.cache
+def _corner_runs():
+    """(cut, plan, forward run, reverse run) for every cut with d1 = 1 or d2 = 1 of random states
+    with d_C in {4, 6, 8} and d_A, d_B, d_R in {1, 2, 3}; the references are phi itself."""
+    runs = []
+    for tag, (cut, side) in enumerate(_all_cuts_and_sides()):
+        d_c = math.prod(cut)
+        if d_c in (4, 6, 8) and min(cut[:2]) == 1:
+            phi = random_pure_state(SystemLayout.of(*zip("CABR", (d_c, *side))), SeededStream(380).derive(tag))
+            plan = build_plan(phi, PRESET_ROLES, CutPartition(*cut), stream=SeededStream(381).derive(tag))
+            runs.append((cut, plan, run_forward(phi, plan), run_reverse(plan)))
+    return runs
+
+
 class TestSymmetries:
+    def test_fqsw_corner_forward_error_is_the_decoders(self):
+        # d2 = 1 is fully quantum Slepian-Wolf: no ebit is consumed and W = U^H (x) I is exact, so the
+        # forward run's error is the decoder alignment's alone.
+        cases = [(plan, fwd) for cut, plan, fwd, _ in _corner_runs() if cut[1] == 1]
+        assert len(cases) == 27 * (3 + 4 + 4)  # 3, 4 and 4 such cuts of d_C = 4, 6 and 8
+        for plan, fwd in cases:
+            assert fwd.ebits_consumed == 0
+            assert abs(fwd.distance_to_target - plan.decoder_alignment.distance_out) <= 1e-12
+
+    def test_fqrs_corner_reverse_error_is_the_encoders(self):
+        # d1 = 1 is the fully quantum reverse Shannon corner, FQSW's time reverse: V = U^H (x) I is
+        # exact, so the reverse run consumes no ebit and its error is the encoder alignment's alone.
+        cases = [(plan, rev) for cut, plan, _, rev in _corner_runs() if cut[0] == 1]
+        assert len(cases) == 27 * (3 + 4 + 4)  # 3, 4 and 4 such cuts of d_C = 4, 6 and 8
+        for plan, rev in cases:
+            assert rev.ebits_consumed == 0
+            assert abs(rev.distance_to_target - plan.encoder_alignment.distance_out) <= 1e-12
+
+    def test_both_corners_run_exactly(self):
+        # d1 = d2 = 1 sends all of C: both halves are U^H (x) I and both runs are exact.
+        cases = [(fwd, rev) for cut, _, fwd, rev in _corner_runs() if cut[:2] == (1, 1)]
+        assert len(cases) == 3 * 27  # one (1, 1, d_C) cut per d_C and side
+        for fwd, rev in cases:
+            assert fwd.distance_to_target <= 1e-12 and rev.distance_to_target <= 1e-12
+
     def test_ab_exchange_gives_reverse_ledger(self):
         phi = _random_phi(40)
         p = CutPartition(1, 2, 2)

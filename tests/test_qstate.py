@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from qsr.qstate import (
+    DEFAULT_GUARD,
     DensityOperator,
+    GuardExceededError,
     InvariantViolation,
     LayoutError,
     LinearMap,
@@ -23,10 +25,11 @@ from qsr.qstate import (
     split_subsystem,
     state_from_json,
     state_to_json,
+    check_guard,
     tensor,
 )
 from qsr.qstate import _check_isometry, _matricize
-from qsr.sampling import SeededStream, haar_unitary, random_pure_state
+from qsr.sampling import SeededStream, haar_unitary, random_density, random_pure_state
 
 from oracles import loop_partial_trace, loop_vector_partial_trace
 
@@ -100,6 +103,17 @@ class TestPartialTrace:
         got2 = partial_trace(rho, ["X", "Z"]).matrix
         want2 = loop_partial_trace(rho.matrix, (2, 3, 2), [0, 2])
         np.testing.assert_allclose(got2, want2, atol=1e-12)
+
+    @pytest.mark.parametrize("keep", [tuple(a for a in range(5) if mask >> a & 1) for mask in range(32)],
+                             ids=lambda keep: "keep" + "".join(map(str, keep)))
+    def test_density_operator_matches_loop_oracle_for_every_keep_subset(self, keep):
+        # A mixed operator on five subsystems, one of them one-dimensional.
+        dims = (2, 3, 1, 2, 2)
+        layout = SystemLayout.of(*zip("VWXYZ", dims))
+        rho = random_density(layout, 3, SeededStream(8))
+        got = partial_trace(rho, [layout.labels[a] for a in keep])
+        assert got.layout.dims == tuple(dims[a] for a in keep)
+        np.testing.assert_allclose(got.matrix, loop_partial_trace(rho.matrix, dims, list(keep)), rtol=0, atol=1e-15)
 
     def test_unknown_label(self):
         with pytest.raises(LayoutError):
@@ -330,6 +344,20 @@ class TestValidation:
         mat[1, 0] = np.nan
         with pytest.raises(InvariantViolation):
             LinearMap(qubits("X"), qubits("Y"), mat, kind)
+
+
+class TestGuard:
+    @pytest.mark.parametrize("entries,count", [
+        (2**20 + 1, "1048577"),
+        (2**63, str(2**63)),  # the largest count stated in full
+        (2**63 + 1, "at least 2^63"),
+        (4**7200, "at least 2^14400"),  # 4,335 digits: more than str() writes out
+    ], ids=["just-above", "2^63", "2^63+1", "4^7200"])
+    def test_refusal_states_the_count(self, entries, count):
+        with pytest.raises(GuardExceededError) as refused:
+            check_guard("x", entries)
+        assert str(refused.value) == f"x needs {count} entries, above the guard of {DEFAULT_GUARD}"
+        check_guard("x", DEFAULT_GUARD)
 
 
 class TestStateFormat:
