@@ -15,7 +15,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from .decoupling import (
     DEFAULT_SEARCH_ITERS,
@@ -40,10 +40,12 @@ from .qstate import (
     STATE_FORMAT_VERSION,
     SystemLayout,
     check_guard,
+    maximally_mixed,
     state_from_json,
     state_to_json,
+    tensor,
 )
-from .sampling import GENERATOR_VERSION, SeededStream, random_pure_state
+from .sampling import GENERATOR_VERSION, SeededStream, random_density, random_pure_state
 
 
 class UsageError(ValueError):
@@ -103,19 +105,22 @@ def _parse_dims(text: str) -> SystemLayout:
     for chunk in text.split(","):
         if "=" not in chunk:
             raise UsageError(f"--dims entry {chunk!r} is not LABEL=dim")
-        lab, dim = chunk.split("=", 1)
+        lab, dim = (part.strip() for part in chunk.split("=", 1))
+        if not lab:
+            raise UsageError(f"--dims entry {chunk!r} has an empty label")
         try:
-            subsystems.append((lab.strip(), int(dim)))
+            subsystems.append((lab, int(dim)))
         except ValueError as exc:
             raise UsageError(f"--dims entry {chunk!r} has a non-integer dim") from exc
     return SystemLayout(tuple(subsystems))
 
 
-def _load_state(spec: str, stream: SeededStream) -> tuple[PureState, dict[str, str], str]:
-    """Resolve a --state value: preset name or path to a qsr-state/1 file.
+def _load_state(args: argparse.Namespace, stream: SeededStream) -> tuple[PureState, dict[str, str], str]:
+    """Resolve --state (a preset or a qsr-state/1 file) and --roles: (state, roles, digest of its serialization).
 
-    Returns (state, default roles, digest of the canonical serialization).
+    Without --roles, a preset takes its own roles and a file each of its labels that names a role.
     """
+    spec = args.state
     if spec in PRESET_NAMES:
         state = preset_state(spec, stream=stream)
         roles = dict(PRESET_ROLES)
@@ -128,36 +133,20 @@ def _load_state(spec: str, stream: SeededStream) -> tuple[PureState, dict[str, s
         except (OSError, ValueError) as exc:  # unreadable, not text, or not a valid state
             raise UsageError(f"{spec}: {exc}") from exc
         roles = {lab: lab for lab in state.layout.labels if lab in ROLES}
+    if args.roles is not None:
+        roles = _parse_roles(args.roles)
+    role_groups(state.layout.labels, roles)  # a LayoutError here is a usage error
     digest = hashlib.sha256(state_to_json(state).encode()).hexdigest()
     return state, roles, digest
 
 
-def _resolve_roles(state: PureState, default: Mapping[str, str], flag: "str | None") -> dict[str, str]:
-    if flag is not None:
-        roles = _parse_roles(flag)
-    else:
-        roles = dict(default)
-    try:
-        role_groups(state.layout.labels, roles)
-    except LayoutError as exc:
-        raise UsageError(str(exc)) from exc
-    return roles
-
-
-def _emit(record: dict[str, Any]) -> None:
+def _emit(args: argparse.Namespace, results: dict[str, Any], timings: dict[str, float], **inputs: Any) -> None:
+    """Write one record; its inputs are ``inputs``, the seed, each other parsed flag but the sweep, the versions."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "func", "seed", "sweep")}
+    inputs.update(seed=args.seed, flags=flags, generator_version=GENERATOR_VERSION,
+                  format_version=STATE_FORMAT_VERSION)
+    record = {"command": args.command, "inputs": inputs, "results": results, "timings": timings}
     sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def _flags(args: argparse.Namespace) -> dict[str, Any]:
-    """Every parsed flag of a record except the seed (recorded on its own) and the sweep (a CSV run has no record)."""
-    return {k: v for k, v in vars(args).items() if k not in ("command", "func", "seed", "sweep")}
-
-
-def _report(command: str, inputs: dict[str, Any], results: dict[str, Any], timings: dict[str, float]) -> dict[str, Any]:
-    inputs = dict(inputs)
-    inputs.setdefault("generator_version", GENERATOR_VERSION)
-    inputs.setdefault("format_version", STATE_FORMAT_VERSION)
-    return {"command": command, "inputs": inputs, "results": results, "timings": timings}
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +156,7 @@ def _report(command: str, inputs: dict[str, Any], results: dict[str, Any], timin
 
 def cmd_rates(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    stream = SeededStream(args.seed)
-    state, default_roles, digest = _load_state(args.state, stream)
-    roles = _resolve_roles(state, default_roles, args.roles)
+    state, roles, digest = _load_state(args, SeededStream(args.seed))
     groups = role_groups(state.layout.labels, roles)
     rates = resource_rates(state, roles)
     entropies = {role: marginal_entropy(state, labs) for role, labs in groups.items()}
@@ -182,25 +169,14 @@ def cmd_rates(args: argparse.Namespace) -> int:
         "net_ebits": rates.net_ebits,
         "entropies": entropies,
     }
-    _emit(_report(
-        "rates",
-        {"state_digest": digest, "seed": args.seed, "flags": _flags(args)},
-        results,
-        {"total_s": time.perf_counter() - t0},
-    ))
+    _emit(args, results, {"total_s": time.perf_counter() - t0}, state_digest=digest)
     return 0
 
 
 def _decouple_operand(kind: str, layout: SystemLayout, rank: int, stream: SeededStream):
-    from .qstate import maximally_mixed, tensor
-    from .sampling import random_density
-
     if kind == "pi":
-        d_c, d_side = layout.dims[0], layout.dims[1]
-        return tensor(maximally_mixed(d_c, "C"), maximally_mixed(d_side, "F"))
-    if kind == "random":
-        return random_density(layout, rank, stream)
-    raise UsageError(f"operand must be 'pi' or 'random', got {kind!r}")
+        return tensor(maximally_mixed(layout.dims[0], "C"), maximally_mixed(layout.dims[1], "F"))
+    return random_density(layout, rank, stream)
 
 
 def cmd_decouple(args: argparse.Namespace) -> int:
@@ -231,12 +207,7 @@ def cmd_decouple(args: argparse.Namespace) -> int:
         "accepted": res.accepted,
         "iterations_used": iters,
     }
-    _emit(_report(
-        "decouple",
-        {"seed": args.seed, "flags": _flags(args)},
-        results,
-        {"total_s": time.perf_counter() - t0},
-    ))
+    _emit(args, results, {"total_s": time.perf_counter() - t0})
     if not (check1.passed and check2.passed):
         raise CheckFailed("Haar-average bound check failed")
     return 0
@@ -246,8 +217,7 @@ def cmd_protocol(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     p = _parse_partition(args.partition)
     stream = SeededStream(args.seed)
-    state, default_roles, digest = _load_state(args.state, stream.derive(0))
-    roles = _resolve_roles(state, default_roles, args.roles)
+    state, roles, digest = _load_state(args, stream.derive(0))
     t_plan = time.perf_counter()
     plan = build_plan(state, roles, p, search_budget=args.search_budget, stream=stream.derive(1))
     t_run = time.perf_counter()
@@ -271,12 +241,7 @@ def cmd_protocol(args: argparse.Namespace) -> int:
         "accepted": plan.accepted,
         "iterations_used": plan.iterations_used,
     }
-    _emit(_report(
-        "protocol",
-        {"state_digest": digest, "seed": args.seed, "flags": _flags(args)},
-        results,
-        {"plan_s": t_run - t_plan, "run_s": t_end - t_run, "total_s": t_end - t0},
-    ))
+    _emit(args, results, {"plan_s": t_run - t_plan, "run_s": t_end - t_run, "total_s": t_end - t0}, state_digest=digest)
     return 0
 
 
@@ -315,8 +280,7 @@ _CSV_FIELDS = (
 
 def cmd_iid(args: argparse.Namespace) -> int:
     stream = SeededStream(args.seed)
-    state, default_roles, digest = _load_state(args.state, stream.derive(0))
-    roles = _resolve_roles(state, default_roles, args.roles)
+    state, roles, digest = _load_state(args, stream.derive(0))
 
     if args.sweep is not None:
         try:
@@ -346,12 +310,7 @@ def cmd_iid(args: argparse.Namespace) -> int:
                                       for f in _CSV_FIELDS) + "\n")
             sys.stdout.flush()
         else:
-            _emit(_report(
-                "iid",
-                {"state_digest": digest, "seed": args.seed, "flags": _flags(args)},
-                results,
-                {"total_s": elapsed},
-            ))
+            _emit(args, results, {"total_s": elapsed}, state_digest=digest)
     return 0
 
 
@@ -378,50 +337,44 @@ def cmd_sample_state(args: argparse.Namespace) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qsr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags shared by several subcommands, each declared once.
+    seed = _Parser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    state = _Parser(add_help=False)
+    state.add_argument("--state", required=True, help="preset name or qsr-state/1 file")
+    state.add_argument("--roles", help="ROLE=label[+label...] assignments, e.g. C=C,A=A,B=B,R=R")
+    cut = _Parser(add_help=False)
+    cut.add_argument("--partition", required=True, help="d1,d2,d3")
+    cut.add_argument("--search-budget", type=_int_at_least(1), default=DEFAULT_SEARCH_ITERS)
 
-    pr = sub.add_parser("rates", help="resource rates (Q, E1, E2) and marginal entropies")
-    pr.add_argument("--state", required=True, help="preset name or qsr-state/1 file")
-    pr.add_argument("--roles", help="ROLE=label[+label...] assignments, e.g. C=C,A=A,B=B,R=R")
-    pr.add_argument("--seed", type=int, default=0)
+    pr = sub.add_parser("rates", parents=[state, seed], help="resource rates (Q, E1, E2) and marginal entropies")
     pr.set_defaults(func=cmd_rates)
 
-    pd = sub.add_parser("decouple", help="decoupling bounds, Haar averages, unitary search")
-    pd.add_argument("--partition", required=True, help="d1,d2,d3")
+    pd = sub.add_parser("decouple", parents=[cut, seed], help="decoupling bounds, Haar averages, unitary search")
     pd.add_argument("--samples", type=_int_at_least(MIN_HAAR_SAMPLES), default=2000)
-    pd.add_argument("--seed", type=int, default=0)
     pd.add_argument("--dim-c", type=int, default=8)
     pd.add_argument("--dim-f", type=int, default=2)
     pd.add_argument("--dim-e", type=int, default=2)
-    pd.add_argument("--omega", default="random", help="pi or random")
-    pd.add_argument("--psi", default="random", help="pi or random")
+    pd.add_argument("--omega", choices=("pi", "random"), default="random")
+    pd.add_argument("--psi", choices=("pi", "random"), default="random")
     pd.add_argument("--rank", type=int, default=2, help="rank of random operands")
-    pd.add_argument("--search-budget", type=_int_at_least(1), default=DEFAULT_SEARCH_ITERS)
     pd.set_defaults(func=cmd_decouple)
 
-    pp = sub.add_parser("protocol", help="assemble and run the one-shot redistribution")
-    pp.add_argument("--state", required=True)
-    pp.add_argument("--roles")
-    pp.add_argument("--partition", required=True, help="d1,d2,d3")
-    pp.add_argument("--seed", type=int, default=0)
+    pp = sub.add_parser("protocol", parents=[state, cut, seed], help="assemble and run the one-shot redistribution")
     pp.add_argument("--reverse", action="store_true", help="run the reverse redistribution")
-    pp.add_argument("--search-budget", type=_int_at_least(1), default=DEFAULT_SEARCH_ITERS)
     pp.set_defaults(func=cmd_protocol)
 
-    pi = sub.add_parser("iid", help="tensor-power experiment with typical projections")
-    pi.add_argument("--state", required=True)
-    pi.add_argument("--roles")
+    pi = sub.add_parser("iid", parents=[state, seed], help="tensor-power experiment with typical projections")
     copies = pi.add_mutually_exclusive_group(required=True)
     copies.add_argument("--n", type=int)
     copies.add_argument("--sweep", help="n1..n2 (emits CSV rows)")
     pi.add_argument("--delta", type=float, default=0.1)
     pi.add_argument("--t", type=float, default=1.5)
-    pi.add_argument("--seed", type=int, default=0)
     pi.add_argument("--guard", type=int, default=DEFAULT_GUARD)
     pi.set_defaults(func=cmd_iid)
 
-    ps = sub.add_parser("sample-state", help="write a seeded random pure state file")
+    ps = sub.add_parser("sample-state", parents=[seed], help="write a seeded random pure state file")
     ps.add_argument("--dims", required=True, help="LABEL=dim,... e.g. C=2,A=2,B=2,R=2")
-    ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--out", help="output path (stdout if omitted)")
     ps.set_defaults(func=cmd_sample_state)
     return parser

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -150,15 +150,6 @@ def _difference(m: np.ndarray, s: np.ndarray, d_kept: int) -> np.ndarray:
     return gram
 
 
-def _residuals_of(first: tuple, second: tuple, p: CutPartition) -> Callable:
-    """Two conditions' residuals at one unitary, for :func:`search_unitary`; one U.vec if both read one vec."""
-    def residuals(u: np.ndarray) -> tuple[float, float]:
-        rotated = _rotate(first[0], p.total, u[None]) if first[0] is second[0] else None
-        return float(_residuals(*first, p, u[None], rotated)[0]), float(_residuals(*second, p, u[None], rotated)[0])
-
-    return residuals
-
-
 def _purified(rho: DensityOperator, keep: str) -> tuple:
     """The kernels' operand for ``rho`` (C first, then the side): its purification, purifier last."""
     factor = _purifying_factor(rho.matrix)
@@ -262,26 +253,32 @@ def condition_met(eps: float, bound: float) -> bool:
 
 
 def search_unitary(
-    d_c: int,
-    residuals_of: Callable[[np.ndarray], tuple[float, float]],
+    first: tuple,
+    second: tuple,
+    p: CutPartition,
     alpha: float,
     beta: float,
     max_iters: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, DecouplingResiduals, int]:
-    """Sample Haar unitaries until both conditions hold, else best-so-far.
+    """Sample Haar unitaries on C until both conditions hold, else best-so-far.
 
-    The best-so-far objective max(eps1^2/(2 alpha), eps2^2/(2 beta)) puts the
-    two unlike bounds on the same scale.  Deterministic given ``rng``.
+    ``first`` and ``second`` are the two conditions' kernel operands (vec, dims, side, keep), bounded
+    by ``alpha`` and ``beta``; U.vec is formed once per draw when both read one vector.  The
+    best-so-far objective max(eps1^2/(2 alpha), eps2^2/(2 beta)) puts the two unlike bounds on the
+    same scale.  Deterministic given ``rng``.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    one_vec = first[0] is second[0]
     best_u: np.ndarray | None = None
     best_res: DecouplingResiduals | None = None
     best_obj = np.inf
     for i in range(1, max_iters + 1):
-        u = haar_unitary_matrix(d_c, rng)
-        eps1, eps2 = residuals_of(u)
+        u = haar_unitary_matrix(p.total, rng)
+        us = u[None]
+        rotated = _rotate(first[0], p.total, us) if one_vec else None
+        eps1, eps2 = float(_residuals(*first, p, us, rotated)[0]), float(_residuals(*second, p, us, rotated)[0])
         if condition_met(eps1, alpha) and condition_met(eps2, beta):
             return u, DecouplingResiduals(eps1, eps2, accepted=True), i
         obj = max(eps1**2 / (2.0 * alpha), eps2**2 / (2.0 * beta))
@@ -310,7 +307,6 @@ def find_simultaneous_unitary(
     rng = as_generator(stream)
     first, second = _purified(omega, KEEP_C1), _purified(psi, KEEP_C2)
     alpha, beta = _bound(*first, p), _bound(*second, p)  # each checks that p factors its C
-    d_c = omega.layout.dims[0]
-    u, res, iters = search_unitary(d_c, _residuals_of(first, second, p), alpha, beta, max_iters, rng)
-    layout = SystemLayout.of(("C", d_c))
+    u, res, iters = search_unitary(first, second, p, alpha, beta, max_iters, rng)
+    layout = SystemLayout.of(("C", p.total))
     return LinearMap(layout, layout, u, kind="unitary"), res, iters

@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .decoupling import DEFAULT_SEARCH_ITERS, CutPartition, _bound, _factors, _residuals_of, search_unitary
+from .decoupling import DEFAULT_SEARCH_ITERS, CutPartition, _bound, _factors, search_unitary
 from .metrics import ROLES, pure_trace_distance, role_groups
 from .qstate import (
     InvariantViolation,
@@ -305,7 +305,7 @@ def _assemble(
     # alpha bounds the decoder's condition on check, beta the encoder's on hat.
     first, second = _condition(_DECODER, check), _condition(_ENCODER, hat)
     alpha, beta = _bound(*first, p), _bound(*second, p)
-    u, res, iters = search_unitary(p.total, _residuals_of(first, second, p), alpha, beta, search_budget, rng)
+    u, res, iters = search_unitary(first, second, p, alpha, beta, search_budget, rng)
     u_h = u.conj().T if min(p.d1, p.d2) == 1 else None  # shared by both closed-form halves
     c_layout = SystemLayout.of(("C", p.total))
     u = LinearMap(c_layout, c_layout, u, kind="unitary")  # the plan's one check of U, which u_h relies on
@@ -365,10 +365,11 @@ def _run(start: np.ndarray, undo: _Geometry, redo: _Geometry, plan: ProtocolPlan
 def run_forward(phi: PureState, plan: ProtocolPlan) -> ProtocolReport:
     """Run encode, transmit C3, decode; report distance and the ledger.
 
-    The encoder acts as W's adjoint restricted to its range; out-of-range
-    components are dropped without renormalization so the distance is honest.
+    ``phi`` is in the labels given to :func:`build_plan` (it is canonicalized by the plan's
+    roles), or is ``plan.phi`` itself.  The encoder acts as W's adjoint restricted to its range;
+    out-of-range components are dropped without renormalization so the distance is honest.
     """
-    canon = phi if phi.layout == plan.phi.layout else canonicalize(phi, plan.roles)
+    canon = phi if phi is plan.phi else canonicalize(phi, plan.roles)
     if canon.layout != plan.phi.layout:
         raise LayoutError(f"state layout {canon.layout} does not match the plan's {plan.phi.layout}")
     encoder, decoder = _geometry(plan.phi.dims, plan.partition)

@@ -1,11 +1,12 @@
 """CLI subcommands: reports, determinism, exit codes, file round trips."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from qsr.cli import _CSV_FIELDS, main
+from qsr.cli import _CSV_FIELDS, _build_parser, main
 from qsr.qstate import state_from_json
 
 
@@ -111,6 +112,13 @@ class TestProtocol:
         res = rec["results"]
         assert res["distance_to_target"] <= min(2.0, res["measured_bound"]) + 1e-8
         assert res["ebits_consumed"] == 1.0  # log2 d2 with d2 = 2
+
+    def test_roles_exchanging_equal_dimensions_run_exactly(self, capsys):
+        # A and B of the random preset have one dimension, so only the roles tell the swapped
+        # state from the given one; with d1 = d2 = 1 both halves are U^H (x) I and the run is exact.
+        rec = run_json(capsys, "protocol", "--state", "random", "--partition", "1,1,2", "--seed", "9",
+                       "--roles", "C=C,A=B,B=A,R=R")
+        assert rec["results"]["distance_to_target"] <= 1e-12
 
 
 class TestIid:
@@ -226,6 +234,7 @@ class TestExitCodes:
         (("decouple", "--partition", "2,2,2", "--search-budget", "0"), "--search-budget"),
         (("protocol", "--state", "bell-CA", "--partition", "1,2,1", "--search-budget", "0"),
          "--search-budget"),
+        (("decouple", "--partition", "2,2,2", "--omega", "foo"), "--omega"),
     ])
     def test_out_of_range_counts_are_usage_errors(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)
@@ -301,6 +310,13 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and "directory" in err
 
+    @pytest.mark.parametrize("dims", ["=2,A=2", "C=2, =2"])
+    def test_empty_dims_label_is_usage_error(self, capsys, tmp_path, dims):
+        out_file = tmp_path / "x.json"
+        code, out, err = run_cli(capsys, "sample-state", "--dims", dims, "--out", str(out_file))
+        assert code == 1 and out == "" and not out_file.exists()
+        assert err.count("\n") == 1 and "--dims" in err and "empty label" in err
+
     def test_out_in_missing_directory_is_usage_error(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "sample-state", "--dims", "C=2", "--out",
                                  str(tmp_path / "missing" / "x.json"))
@@ -369,6 +385,16 @@ class TestNoTraceback:
                 if code not in (0, 1, 2, 3) or (code and err.count("\n") != 1):
                     bad.append((argv, code, err))
         assert bad == []
+
+
+class TestFlagSurface:
+    @pytest.mark.parametrize("command", sorted(_FLAGS))
+    def test_each_subcommand_takes_exactly_its_flags(self, command):
+        (subparsers,) = (a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert sorted(subparsers.choices) == sorted(_FLAGS)
+        got = [s for action in subparsers.choices[command]._actions for s in action.option_strings]
+        extra = ("--reverse",) if command == "protocol" else ()  # takes no value, so not in _FLAGS
+        assert sorted(got) == sorted((*_FLAGS[command], "-h", "--help", *extra))
 
 
 # The commands whose records (excluding timings), stderr and state file are compared byte for

@@ -360,7 +360,7 @@ class TestExperimentDriver:
         p, plan = rep.allocation.partition, rep.plan
         assert (p.d1, p.d2) == (1, 1)
         assert [caller for caller, _ in calls["_rotate_copies"]] == ["_embed_typical_c"]
-        assert [caller for caller, _ in calls["_rotate"]] == ["residuals"] * plan.iterations_used
+        assert [caller for caller, _ in calls["_rotate"]] == ["search_unitary"] * plan.iterations_used
         assert [caller for caller, _ in calls["_factors"]] == ["_residuals"] * (2 * plan.iterations_used)
         assert [shape for _, shape in calls["_check_isometry"]].count((p.total, p.total)) == 1
         assert plan.encoder_alignment.isometry.z is plan.decoder_alignment.isometry.z

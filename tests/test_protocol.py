@@ -338,6 +338,20 @@ class TestSymmetries:
         assert fwd_sw.ebits_distilled == rev.ebits_distilled
         assert fwd.ebits_consumed == fwd_sw.ebits_distilled
 
+    def test_swapped_roles_run_the_swapped_state(self):
+        # A and B have one dimension, so the caller's layout equals the plan's although the roles
+        # exchange A and B; the run must still bring the caller's state to the plan's labels.
+        phi = _random_phi(41)
+        swapped_roles = {"C": "C", "A": "B", "B": "A", "R": "R"}
+        for cut in ALL_PARTITIONS_OF_4:
+            plan = build_plan(phi, swapped_roles, CutPartition(*cut), stream=SeededStream(109))
+            assert phi.layout == plan.phi.layout and plan.phi is not phi
+            fwd, own = run_forward(phi, plan), run_forward(plan.phi, plan)
+            assert fwd.distance_to_target == own.distance_to_target
+            assert np.array_equal(fwd.final_state.amplitudes, own.final_state.amplitudes)
+            if cut[:2] == (1, 1):  # both halves are U^H (x) I: the run is exact
+                assert fwd.distance_to_target <= 1e-12
+
     def test_trace_distance_invariant_under_appended_isometry(self):
         u = random_pure_state(SystemLayout.of(("X", 4)), SeededStream(106))
         v = random_pure_state(SystemLayout.of(("X", 4)), SeededStream(107))
