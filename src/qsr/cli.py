@@ -108,6 +108,8 @@ def _parse_dims(text: str) -> SystemLayout:
         lab, dim = (part.strip() for part in chunk.split("=", 1))
         if not lab:
             raise UsageError(f"--dims entry {chunk!r} has an empty label")
+        if "+" in lab:
+            raise UsageError(f"--dims entry {chunk!r} has a label with '+', which --roles cannot name")
         try:
             subsystems.append((lab, int(dim)))
         except ValueError as exc:
@@ -370,7 +372,7 @@ def _build_parser() -> _Parser:
     copies.add_argument("--sweep", help="n1..n2 (emits CSV rows)")
     pi.add_argument("--delta", type=float, default=0.1)
     pi.add_argument("--t", type=float, default=1.5)
-    pi.add_argument("--guard", type=int, default=DEFAULT_GUARD)
+    pi.add_argument("--guard", type=_int_at_least(1), default=DEFAULT_GUARD)
     pi.set_defaults(func=cmd_iid)
 
     ps = sub.add_parser("sample-state", parents=[seed], help="write a seeded random pure state file")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .qstate import DensityOperator, LayoutError, LinearMap, SystemLayout, check_guard, marginal_purity
 from .qstate import _matricize, _purifying_factor
-from .sampling import SeededStream, as_generator, haar_unitary_batch, haar_unitary_matrix
+from .sampling import SeededStream, haar_unitary_batch, haar_unitary_matrix
 
 DEFAULT_SEARCH_ITERS = 64
 MIN_HAAR_SAMPLES = 100
@@ -56,14 +56,6 @@ class CutPartition:
     @property
     def total(self) -> int:
         return self.d1 * self.d2 * self.d3
-
-    @property
-    def d23(self) -> int:
-        return self.d2 * self.d3
-
-    @property
-    def d13(self) -> int:
-        return self.d1 * self.d3
 
     def check_total(self, d_c: int) -> None:
         if self.total != d_c:
@@ -105,7 +97,7 @@ def _keep_index(keep: str) -> int:
 def _bound(vec: np.ndarray, dims: tuple[int, ...], side: Sequence[int], keep: str, p: CutPartition) -> float:
     """The bound of the condition :func:`_residuals` measures; Tr(rho^2) of ``vec`` on C and ``side``."""
     p.check_total(dims[0])
-    d_side, traced = math.prod(dims[a] for a in side), (p.d23, p.d13)[_keep_index(keep)]
+    d_side, traced = math.prod(dims[a] for a in side), p.total // (p.d1, p.d2)[_keep_index(keep)]
     return decoupling_bound(dims[0], d_side, marginal_purity(vec, dims, (0, *side)), traced)
 
 
@@ -210,7 +202,7 @@ def haar_average_check(
     p: CutPartition,
     keep: str,
     n_samples: int,
-    stream: "SeededStream | np.random.Generator",
+    stream: SeededStream,
 ) -> HaarAverageCheck:
     """Estimate E_U[residual^2] over Haar unitaries and compare with the bound.
 
@@ -226,7 +218,7 @@ def haar_average_check(
     check_guard("the Haar average", n_samples)  # it stores one squared residual per sample
     condition, d_c = _purified(rho, keep), rho.layout.dims[0]
     bound_value = _bound(*condition, p)
-    rng = as_generator(stream)
+    rng = stream.generator()
     block = max(1, HAAR_BLOCK_BYTES // rho.matrix.nbytes)
     sq = np.empty(n_samples)
     for start in range(0, n_samples, block):
@@ -283,7 +275,7 @@ def search_unitary(
             return u, DecouplingResiduals(eps1, eps2, accepted=True), i
         obj = max(eps1**2 / (2.0 * alpha), eps2**2 / (2.0 * beta))
         if obj < best_obj:
-            best_u, best_res, best_obj = u, DecouplingResiduals(eps1, eps2, accepted=False), i
+            best_u, best_res, best_obj = u, DecouplingResiduals(eps1, eps2, accepted=False), obj
     assert best_u is not None and best_res is not None
     return best_u, best_res, max_iters
 
@@ -292,8 +284,8 @@ def find_simultaneous_unitary(
     omega: DensityOperator,
     psi: DensityOperator,
     p: CutPartition,
-    max_iters: int = DEFAULT_SEARCH_ITERS,
-    stream: "SeededStream | np.random.Generator | None" = None,
+    max_iters: int,
+    stream: SeededStream,
 ) -> tuple[LinearMap, DecouplingResiduals, int]:
     """Find one unitary on C satisfying both decoupling conditions at once.
 
@@ -302,11 +294,8 @@ def find_simultaneous_unitary(
     best-so-far candidate with ``accepted=False``; downstream constructions
     only need the measured residuals.
     """
-    if stream is None:
-        stream = SeededStream(0)
-    rng = as_generator(stream)
     first, second = _purified(omega, KEEP_C1), _purified(psi, KEEP_C2)
     alpha, beta = _bound(*first, p), _bound(*second, p)  # each checks that p factors its C
-    u, res, iters = search_unitary(first, second, p, alpha, beta, max_iters, rng)
+    u, res, iters = search_unitary(first, second, p, alpha, beta, max_iters, stream.generator())
     layout = SystemLayout.of(("C", p.total))
     return LinearMap(layout, layout, u, kind="unitary"), res, iters

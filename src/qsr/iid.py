@@ -329,7 +329,7 @@ def iid_experiment(
     phi: PureState,
     roles: Mapping[str, str],
     spec: TypicalSpec,
-    stream: "SeededStream | None" = None,
+    stream: SeededStream,
     guard: int = DEFAULT_GUARD,
     search_budget: int = DEFAULT_SEARCH_ITERS,
 ) -> IidExperimentReport:
@@ -355,8 +355,6 @@ def iid_experiment(
         d = canon.layout.dim_of_set(group)
         types = math.comb(spec.n + d - 1, d - 1)
         check_guard(f"the type enumeration of {''.join(group)}^(x){spec.n}", types * d, guard)
-    if stream is None:
-        stream = SeededStream(0)
     rates = resource_rates(canon, IDENTITY_ROLES)
     n = spec.n
 

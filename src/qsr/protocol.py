@@ -48,9 +48,8 @@ from .qstate import (
     SystemLayout,
     _matricize,
     check_guard,
-    permute_unchecked,
 )
-from .sampling import SeededStream, as_generator
+from .sampling import SeededStream
 from .uhlmann import UhlmannResult, _align as _uhlmann_align, _CheckedRotation
 
 def canonicalize(phi: PureState, roles: Mapping[str, str]) -> PureState:
@@ -274,7 +273,8 @@ def build_plan(
     p: CutPartition,
     refs: "tuple[PureState, PureState] | None" = None,
     search_budget: int = DEFAULT_SEARCH_ITERS,
-    stream: "SeededStream | np.random.Generator | None" = None,
+    *,
+    stream: SeededStream,
 ) -> ProtocolPlan:
     """Assemble U, W, V for redistributing the C role of ``phi``.
 
@@ -294,18 +294,15 @@ def build_plan(
 
 def _assemble(
     canon: PureState, hat: PureState, check: PureState, roles: Mapping[str, str], p: CutPartition,
-    search_budget: int, stream: "SeededStream | np.random.Generator | None",
+    search_budget: int, stream: SeededStream,
 ) -> ProtocolPlan:
     """:func:`build_plan` on canonical states, after the caller's size check."""
     gamma1, gamma2 = _gamma(canon, hat), _gamma(canon, check)
-    if stream is None:
-        stream = SeededStream(0)
-    rng = as_generator(stream)
 
     # alpha bounds the decoder's condition on check, beta the encoder's on hat.
     first, second = _condition(_DECODER, check), _condition(_ENCODER, hat)
     alpha, beta = _bound(*first, p), _bound(*second, p)
-    u, res, iters = search_unitary(first, second, p, alpha, beta, search_budget, rng)
+    u, res, iters = search_unitary(first, second, p, alpha, beta, search_budget, stream.generator())
     u_h = u.conj().T if min(p.d1, p.d2) == 1 else None  # shared by both closed-form halves
     c_layout = SystemLayout.of(("C", p.total))
     u = LinearMap(c_layout, c_layout, u, kind="unitary")  # the plan's one check of U, which u_h relies on
@@ -380,8 +377,8 @@ def run_reverse(plan: ProtocolPlan, upsilon_final: "PureState | None" = None) ->
     """Undo the redistribution: V's adjoint, C3 back to Alice, then W.
 
     Consumes log2 d1 ebits, distills log2 d2, sends log2 d3 qubits Bob to
-    Alice.  ``upsilon_final`` defaults to the ideal final state; a forward
-    run's final_state can be passed directly.
+    Alice.  ``upsilon_final`` defaults to the ideal final state; otherwise it
+    is in the decoder's pair layout, which a forward run's final_state is.
     """
     encoder, decoder = _geometry(plan.phi.dims, plan.partition)
     if upsilon_final is None:
@@ -389,7 +386,5 @@ def run_reverse(plan: ProtocolPlan, upsilon_final: "PureState | None" = None) ->
     elif upsilon_final.layout == decoder.pair:
         start = upsilon_final.amplitudes
     else:
-        layout, start = permute_unchecked(upsilon_final.layout, upsilon_final.amplitudes, _DECODER.layout)
-        if layout != decoder.pair:
-            raise LayoutError(f"reverse input layout {layout} != expected {decoder.pair}")
+        raise LayoutError(f"reverse input layout {upsilon_final.layout} != expected {decoder.pair}")
     return _run(start, decoder, encoder, plan)

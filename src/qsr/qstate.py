@@ -286,18 +286,12 @@ def vector_apply(
     out_dims = tuple(int(d) for d in out_dims)
     out = out.reshape(out_dims + rest_dims)
 
-    # Every axis before the earliest target survives, so the output block is
-    # inserted at that position; axes currently sit as (out..., rest...).
-    insert_at = min(targets)
+    # Every axis before the earliest target survives, so the output block
+    # moves from the front to that position.
+    at = min(targets)
     n_out = len(out_dims)
-    n_rest = len(rest_dims)
-    perm = (
-        list(range(n_out, n_out + insert_at))
-        + list(range(n_out))
-        + list(range(n_out + insert_at, n_out + n_rest))
-    )
-    out = np.transpose(out, axes=perm)
-    new_dims = rest_dims[:insert_at] + out_dims + rest_dims[insert_at:]
+    out = np.moveaxis(out, range(n_out), range(at, at + n_out))
+    new_dims = rest_dims[:at] + out_dims + rest_dims[at:]
     return out.reshape(-1), new_dims
 
 

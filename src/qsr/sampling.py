@@ -3,7 +3,8 @@
 Streams are counter based (Philox keyed by (seed, stream_index)), so the same
 pair always reproduces identical draws bit-exactly and distinct stream indices
 never share output.  The generator algorithm name is part of the report
-format so archived experiments stay reproducible.
+format so archived experiments stay reproducible.  Entry points take a
+SeededStream; only the kernels take the live generator it makes.
 """
 
 from __future__ import annotations
@@ -43,12 +44,6 @@ class SeededStream:
         return SeededStream(self.seed, mixed)
 
 
-def as_generator(stream: "SeededStream | np.random.Generator") -> np.random.Generator:
-    if isinstance(stream, SeededStream):
-        return stream.generator()
-    return stream
-
-
 def ginibre(d_out: int, d_in: int, rng: np.random.Generator) -> np.ndarray:
     """Complex standard Gaussian matrix."""
     return (rng.standard_normal((d_out, d_in)) + 1j * rng.standard_normal((d_out, d_in))) / np.sqrt(2.0)
@@ -77,34 +72,26 @@ def haar_unitary_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
     return haar_unitary_batch(1, d, rng)[0]
 
 
-def haar_unitary(
-    d: int, stream: "SeededStream | np.random.Generator", label: str = "U"
-) -> LinearMap:
+def haar_unitary(d: int, stream: SeededStream, label: str = "U") -> LinearMap:
     """Sample one Haar unitary as a LinearMap on a single subsystem."""
-    u = haar_unitary_matrix(d, as_generator(stream))
+    u = haar_unitary_matrix(d, stream.generator())
     layout = SystemLayout.of((label, d))
     return LinearMap(layout, layout, u, kind="unitary")
 
 
-def random_pure_state(
-    layout: SystemLayout, stream: "SeededStream | np.random.Generator"
-) -> PureState:
+def random_pure_state(layout: SystemLayout, stream: SeededStream) -> PureState:
     """Haar-random pure state over the layout (normalized Gaussian vector)."""
-    rng = as_generator(stream)
-    v = ginibre(layout.total_dim, 1, rng).reshape(-1)
+    v = ginibre(layout.total_dim, 1, stream.generator()).reshape(-1)
     return PureState(layout, v / np.linalg.norm(v))
 
 
-def random_density(
-    layout: SystemLayout, rank: int, stream: "SeededStream | np.random.Generator"
-) -> "DensityOperator":
+def random_density(layout: SystemLayout, rank: int, stream: SeededStream) -> "DensityOperator":
     """Wishart-style random density operator of the given rank."""
     from .qstate import DensityOperator
 
     d = layout.total_dim
     if not 1 <= rank <= d:
         raise LayoutError(f"rank {rank} out of range [1, {d}]")
-    rng = as_generator(stream)
-    g = ginibre(d, rank, rng)
+    g = ginibre(d, rank, stream.generator())
     m = g @ g.conj().T
     return DensityOperator(layout, m / m.trace().real)

@@ -235,6 +235,8 @@ class TestExitCodes:
         (("protocol", "--state", "bell-CA", "--partition", "1,2,1", "--search-budget", "0"),
          "--search-budget"),
         (("decouple", "--partition", "2,2,2", "--omega", "foo"), "--omega"),
+        (("iid", "--state", "bell-CR", "--n", "2", "--guard", "-5"), "--guard: must be >= 1, got -5"),
+        (("iid", "--state", "bell-CR", "--n", "2", "--guard", "0"), "--guard: must be >= 1, got 0"),
     ])
     def test_out_of_range_counts_are_usage_errors(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)
@@ -316,6 +318,13 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "sample-state", "--dims", dims, "--out", str(out_file))
         assert code == 1 and out == "" and not out_file.exists()
         assert err.count("\n") == 1 and "--dims" in err and "empty label" in err
+
+    def test_plus_in_a_dims_label_is_usage_error(self, capsys, tmp_path):
+        # --roles joins labels with '+', so a label containing one could never be given a role.
+        out_file = tmp_path / "plus.json"
+        code, out, err = run_cli(capsys, "sample-state", "--dims", "C+X=2,A=2", "--out", str(out_file))
+        assert code == 1 and out == "" and not out_file.exists()
+        assert err.count("\n") == 1 and "--dims" in err and "'+'" in err
 
     def test_out_in_missing_directory_is_usage_error(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "sample-state", "--dims", "C=2", "--out",

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qsr import decoupling
 from qsr.decoupling import (
     KEEP_C1,
     KEEP_C2,
@@ -16,9 +17,10 @@ from qsr.decoupling import (
     haar_average_check,
     residual,
     residual_stack,
+    search_unitary,
     single_bound,
 )
-from qsr.decoupling import _difference, _residuals
+from qsr.decoupling import _difference, _purified, _residuals
 from qsr.metrics import hermitian_trace_distance
 from qsr.qstate import (
     DEFAULT_GUARD,
@@ -295,14 +297,16 @@ class TestHaarAverage:
         ((2, 2, 2), 200, LayoutError),  # does not factor d_C = 4
         ((2, 2, 1), DEFAULT_GUARD + 1, GuardExceededError),  # more squares than the guard admits
     ], ids=["partition", "samples"])
-    def test_refuses_before_the_first_draw(self, cut, samples, error):
-        # The bound checks the partition without randomness, so a refusal leaves a caller's
-        # generator where it was: no unitary was drawn.
-        rng = np.random.default_rng(68)
-        before = rng.bit_generator.state
+    def test_refuses_before_the_first_draw(self, monkeypatch, cut, samples, error):
+        # The bound checks the partition without randomness, so a refusal comes before the
+        # first unitary is drawn.
+        def no_draw(*args):
+            raise AssertionError("a unitary was drawn before the refusal")
+
+        omega = _rank2(4, 2, 10)
+        monkeypatch.setattr(decoupling, "haar_unitary_batch", no_draw)
         with pytest.raises(error):
-            haar_average_check(_rank2(4, 2, 10), CutPartition(*cut), KEEP_C1, samples, rng)
-        assert rng.bit_generator.state == before
+            haar_average_check(omega, CutPartition(*cut), KEEP_C1, samples, SeededStream(68))
 
 
 class TestSimultaneousSearch:
@@ -344,6 +348,21 @@ class TestSimultaneousSearch:
         u1, r1, i1 = find_simultaneous_unitary(omega, psi, p, 16, SeededStream(63))
         u2, r2, i2 = find_simultaneous_unitary(omega, psi, p, 16, SeededStream(63))
         assert np.array_equal(u1.matrix, u2.matrix) and r1 == r2 and i1 == i2
+
+    def test_no_acceptance_returns_the_best_draw(self):
+        # Bounds of 1e-12 admit no draw, so the search returns the draw of least objective
+        # max(eps1^2/2 alpha, eps2^2/2 beta) (the first on a tie) with that draw's residuals.
+        omega, psi = _rank2(8, 2, 15), _rank2(8, 2, 16, label="E")
+        p, alpha, beta, stream = CutPartition(2, 2, 2), 1e-12, 1e-12, SeededStream(69)
+        first, second = _purified(omega, KEEP_C1), _purified(psi, KEEP_C2)
+        u, res, iters = search_unitary(first, second, p, alpha, beta, 5, stream.generator())
+        rng = stream.generator()
+        draws = [haar_unitary_matrix(8, rng) for _ in range(5)]
+        eps = [(residual(omega, d, p, KEEP_C1), residual(psi, d, p, KEEP_C2)) for d in draws]
+        best = int(np.argmin([max(e1**2 / (2.0 * alpha), e2**2 / (2.0 * beta)) for e1, e2 in eps]))
+        assert np.array_equal(u, draws[best])
+        assert (res.eps1, res.eps2) == eps[best]
+        assert not res.accepted and iters == 5
 
     def test_partition_must_factor_dimension(self):
         omega = _rank2(8, 2, 14)

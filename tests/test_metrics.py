@@ -28,7 +28,7 @@ from qsr.qstate import (
     maximally_entangled,
     maximally_mixed,
 )
-from qsr.sampling import SeededStream, random_density, random_pure_state
+from qsr.sampling import SeededStream, ginibre, random_density, random_pure_state
 
 from oracles import eigvalsh_pure_trace_distance
 
@@ -88,6 +88,14 @@ class TestTraceDistance:
     def test_trace_norm_requires_square(self):
         with pytest.raises(ValueError):
             trace_norm(np.ones((2, 3)))
+
+    def test_trace_norm_is_the_sum_of_singular_values(self):
+        rng = SeededStream(14).generator()
+        for d in (1, 2, 3, 6):
+            g = ginibre(d, d, rng)
+            for m in (g, g + g.conj().T):  # non-Hermitian, then Hermitian
+                expected = np.sqrt(np.clip(np.linalg.eigvalsh(m.conj().T @ m), 0.0, None)).sum()
+                assert abs(trace_norm(m) - expected) <= 1e-12
 
 
 class TestPureTraceDistanceEdgeCases:

@@ -33,12 +33,14 @@ from qsr.protocol import (
 )
 from qsr.qstate import (
     InvariantViolation,
+    LayoutError,
     LinearMap,
     PureState,
     SystemLayout,
     apply,
     maximally_entangled,
     partial_trace,
+    permute,
     tensor,
 )
 from qsr.sampling import SeededStream, random_pure_state
@@ -263,6 +265,15 @@ class TestReverseRuns:
         target = initial_state(plan)
         assert back.final_state.layout == target.layout
         assert pure_trace_distance(back.final_state.amplitudes, target.amplitudes) <= 2e-6
+
+    def test_reverse_refuses_a_permuted_final_state(self):
+        phi = _random_phi(21)
+        plan = build_plan(phi, PRESET_ROLES, CutPartition(1, 2, 2), stream=SeededStream(110))
+        final = run_forward(phi, plan).final_state
+        moved = permute(final, final.layout.labels[::-1])
+        with pytest.raises(LayoutError) as exc:
+            run_reverse(plan, moved)
+        assert f"{moved.layout}" in str(exc.value) and f"{final.layout}" in str(exc.value)
 
     def test_ledger_antisymmetry(self):
         for p in [(1, 2, 2), (2, 2, 1), (2, 1, 2)]:
