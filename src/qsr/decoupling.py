@@ -11,6 +11,9 @@ below exploits exactly that.
 
 This is the only module that evaluates a decoupling condition: one kernel for
 the residual and one for the bound, both on a pure vector with C on axis 0.
+The residual's eigensolver runs on the side marginal's support only (the other
+rows are exact zeros, see :func:`_residuals`), so a typical projection of
+phi^(x)n pays for the side strings it keeps, not for d_side.
 The protocol passes its reference states, and its alignments take the
 residual's factors M and S; the density-operator API below (what ``qsr
 decouple`` runs) purifies its operand once per call.
@@ -123,9 +126,19 @@ def _residuals(
     vec: np.ndarray, dims: tuple[int, ...], side: Sequence[int], keep: str, p: CutPartition, us: np.ndarray,
     rotated: "np.ndarray | None" = None,
 ) -> np.ndarray:
-    """|| M M^H - pi_kept (x) S S^H ||_1 (M, S of :func:`_factors`) for each U, by one batched ``eigvalsh``."""
+    """|| M M^H - pi_kept (x) S S^H ||_1 (M, S of :func:`_factors`) for each U, by one batched ``eigvalsh``.
+
+    A side row where ``vec`` is exactly zero is zero in S and in every U.vec (U acts on C only), so
+    row and column k * len(S) + s of the difference are exact zeros for every kept index k: they
+    add only zero eigenvalues, and ``eigvalsh`` runs on the other rows and columns alone.
+    """
     m, s = _factors(vec, dims, side, keep, p, us, rotated)
-    return np.abs(np.linalg.eigvalsh(_difference(m, s, (p.d1, p.d2)[_keep_index(keep)]))).sum(axis=1)
+    d_kept = (p.d1, p.d2)[_keep_index(keep)]
+    diff, rows = _difference(m, s, d_kept), np.flatnonzero(s.any(axis=1))
+    if len(rows) < len(s):
+        live = (np.arange(0, d_kept * len(s), len(s))[:, None] + rows).reshape(-1)
+        diff = diff[:, live[:, None], live]
+    return np.abs(np.linalg.eigvalsh(diff)).sum(axis=1)
 
 
 def _difference(m: np.ndarray, s: np.ndarray, d_kept: int) -> np.ndarray:

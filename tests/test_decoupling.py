@@ -20,7 +20,8 @@ from qsr.decoupling import (
     search_unitary,
     single_bound,
 )
-from qsr.decoupling import _difference, _purified, _residuals
+from qsr.decoupling import _difference, _factors, _purified, _residuals
+from qsr.iid import TypicalSpec, iid_experiment
 from qsr.metrics import hermitian_trace_distance
 from qsr.qstate import (
     DEFAULT_GUARD,
@@ -33,7 +34,7 @@ from qsr.qstate import (
 )
 from qsr.sampling import SeededStream, haar_unitary_batch, haar_unitary_matrix, random_density
 
-from qsr.presets import preset_state
+from qsr.presets import PRESET_ROLES, preset_state
 
 from oracles import decoupling_residuals, loop_partial_trace
 
@@ -183,9 +184,11 @@ class TestResidualKernel:
     @pytest.mark.parametrize("keep", [KEEP_C1, KEEP_C2])
     @pytest.mark.parametrize("case", ["random", "ghz"])
     def test_equals_the_subtract_then_eigvalsh_expression(self, case, keep):
-        # The kernel subtracts its target in place.  That must leave every
-        # residual bit-identical, also on structured states, where eps is
-        # rounding noise that the measured bound amplifies by 2 sqrt(.).
+        # The kernel subtracts its target in place.  On a full-support operand
+        # that must leave every residual bit-identical.  ghz-CBR's side marginal
+        # lives on 2 of its 4 strings, so the kernel's eigvalsh runs on the
+        # live rows of the same (bit-identical) difference: only the solver's
+        # rounding moves, within its backward-error bound n u ||D||.
         if case == "random":
             dims, side, cut = (8, 2, 3, 4), (1, 2), (2, 2, 2)
             rng = SeededStream(68).generator()
@@ -196,7 +199,11 @@ class TestResidualKernel:
         us = haar_unitary_batch(5, dims[0], SeededStream(69).generator())
         got = _residuals(vec, dims, side, keep, CutPartition(*cut), us)
         want = decoupling_residuals(vec, dims, side, 0 if keep == KEEP_C1 else 1, cut, us)
-        assert np.array_equal(got, want)
+        if case == "random":
+            assert np.array_equal(got, want)
+        else:
+            n = 2 * dims[2] * dims[3]  # the difference's width, d_kept * d_side
+            assert np.all(np.abs(got - want) <= 8 * n * np.finfo(float).eps * want), got - want
 
     @pytest.mark.parametrize("w", [1, 3, 8])
     @pytest.mark.parametrize("d_kept", [1, 2, 3])
@@ -225,6 +232,95 @@ class TestResidualKernel:
         finally:
             tracemalloc.stop()
         assert peak <= (1.25 + 1 / d_kept**2) * 512**2 * 16, peak / (512**2 * 16)
+
+
+@pytest.fixture
+def residual_spy(monkeypatch):
+    """Records each ``_residuals`` call's operands and the widths of the ``eigvalsh`` calls it makes."""
+    calls, inside = [], []
+    kernel, eigvalsh = decoupling._residuals, np.linalg.eigvalsh
+
+    def residuals(*args):
+        calls.append((args, []))
+        inside.append(calls[-1][1])
+        try:
+            return kernel(*args)
+        finally:
+            inside.pop()
+
+    def spy(a, *rest, **kwargs):
+        if inside:
+            inside[-1].append(a.shape[-1])
+        return eigvalsh(a, *rest, **kwargs)
+
+    monkeypatch.setattr(decoupling, "_residuals", residuals)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return calls
+
+
+def _support_rows(vec, dims, side, keep, cut):
+    """(live, dropped) rows of the difference: k * d_side + s for side strings s where vec is or is not zero."""
+    w = int(np.prod([dims[a] for a in side]))
+    on = np.moveaxis(vec.reshape(dims), side, range(len(side))).reshape(w, -1).any(axis=1)
+    rows = np.arange(cut[0 if keep == KEEP_C1 else 1] * w).reshape(-1, w)
+    return rows[:, on].reshape(-1), rows[:, ~on].reshape(-1)
+
+
+class TestResidualSupport:
+    """The residual kernel's eigvalsh runs only on the rows of the side marginal's support."""
+
+    @staticmethod
+    def _assert_dropped_rows_are_zero(vec, dims, side, keep, p, us):
+        cut = (p.d1, p.d2, p.d3)
+        _, dropped = _support_rows(vec, dims, side, keep, cut)
+        diff = _difference(*_factors(vec, dims, side, keep, p, us), cut[0 if keep == KEEP_C1 else 1])
+        assert len(dropped) > 0
+        assert not diff[:, dropped, :].any() and not diff[:, :, dropped].any()
+
+    @pytest.mark.parametrize("keep,cut", [(KEEP_C1, (2, 1, 1)), (KEEP_C2, (1, 2, 1))])
+    def test_dropped_rows_of_ghz_are_exact_zeros(self, keep, cut):
+        ghz = preset_state("ghz-CBR")
+        us = haar_unitary_batch(4, 2, SeededStream(72).generator())
+        self._assert_dropped_rows_are_zero(ghz.amplitudes, ghz.dims, (2, 3), keep, CutPartition(*cut), us)
+
+    @pytest.mark.parametrize("preset,delta,widths", [("ghz-CBR", 0.05, {64, 32}), ("tilted-ghz-CBR", 0.2, {5})])
+    def test_iid_residuals_run_on_the_support(self, residual_spy, preset, delta, widths):
+        # At n = 5 both presets search a half whose side marginal lives on 32
+        # (ghz) or 5 (tilted) of 1,024 strings: its full difference is 1,024 wide.
+        iid_experiment(preset_state(preset), PRESET_ROLES, TypicalSpec(n=5, delta=delta, t=1.5), SeededStream(73))
+        assert residual_spy and {w for _, got in residual_spy for w in got} == widths
+        for args, got in residual_spy:
+            vec, dims, side, keep, p, us = args[:6]
+            live, dropped = _support_rows(vec, dims, side, keep, (p.d1, p.d2, p.d3))
+            assert got == [len(live)]
+            if len(dropped):
+                self._assert_dropped_rows_are_zero(vec, dims, side, keep, p, us)
+
+    def test_full_support_keeps_full_width(self, residual_spy):
+        rng = SeededStream(74).generator()
+        vec = rng.standard_normal(192) + 1j * rng.standard_normal(192)
+        us = haar_unitary_batch(3, 8, rng)
+        decoupling._residuals(vec, (8, 2, 3, 4), (1, 2), KEEP_C1, CutPartition(2, 2, 2), us)
+        assert residual_spy[0][1] == [2 * 6]
+
+    @pytest.mark.parametrize("keep", [KEEP_C1, KEEP_C2])
+    def test_live_rows_are_indexed_kept_factor_major(self, residual_spy, keep):
+        # d_kept = 2 with side string 1 of 3 zero: the live rows are 0, 2, 3, 5
+        # (k * 3 + s), not the 0, 1, 4, 5 of an index built as s * d_kept + k.
+        rng = SeededStream(75).generator()
+        vec = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
+        vec[:, 1] = 0.0
+        vec = vec.reshape(-1) / np.linalg.norm(vec)
+        dims, cut, us = (4, 3, 2), (2, 2, 1), haar_unitary_batch(5, 4, rng)
+        got = decoupling._residuals(vec, dims, (1,), keep, CutPartition(*cut), us)
+        want = decoupling_residuals(vec, dims, (1,), 0 if keep == KEEP_C1 else 1, cut, us)
+        assert residual_spy[0][1] == [4]
+        assert np.all(np.abs(got - want) <= 8 * 6 * np.finfo(float).eps * want), got - want
+
+    def test_all_zero_support_is_zero(self):
+        us = haar_unitary_batch(3, 4, SeededStream(76).generator())
+        got = _residuals(np.zeros(24, complex), (4, 3, 2), (1,), KEEP_C1, CutPartition(2, 2, 1), us)
+        assert got.shape == (3,) and not got.any()
 
 
 class TestHaarAverage:

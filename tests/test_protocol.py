@@ -17,6 +17,7 @@ from qsr.protocol import (
     _DECODER,
     _ENCODER,
     ProtocolPlan,
+    ProtocolReport,
     _condition,
     _entangled,
     _gamma,
@@ -789,3 +790,18 @@ class TestHouseholderExtension:
                 assert factors(n) == want
                 positive_zeros_agree.append(factors(n + 0.0) == want)
         assert not all(positive_zeros_agree)
+
+
+class TestProtocolReport:
+    @staticmethod
+    def _report(distance, analytic, measured):
+        return ProtocolReport(maximally_entangled(2), distance, analytic, measured, 1.0, 0.0, 0.0, 1.0)
+
+    def test_distance_within_both_bounds_or_two(self):
+        self._report(0.5, 0.5, 0.6)
+        self._report(2.0, 5.0, 3.0)  # a bound above 2 is capped at the trace distance's range
+
+    @pytest.mark.parametrize("analytic,measured", [(1.0, 0.1), (0.1, 1.0), (3.0, 1.9)])
+    def test_distance_above_a_bound_rejected(self, analytic, measured):
+        with pytest.raises(InvariantViolation, match="exceeds"):
+            self._report(min(2.0, analytic, measured) + 1e-6, analytic, measured)

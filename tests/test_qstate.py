@@ -323,6 +323,25 @@ class TestValidation:
         with pytest.raises(InvariantViolation):
             _check_isometry(view)
 
+    @pytest.mark.parametrize("d_in,d_out,shape,kind,error,match", [
+        (2, 2, (3, 3), "general", LayoutError, "matrix shape"),
+        (2, 2, (2, 2), "orthogonal", ValueError, "unknown map kind"),
+        (2, 4, (4, 2), "unitary", InvariantViolation, "must be square"),
+        (4, 2, (2, 4), "isometry", InvariantViolation, "output dimension"),
+    ])
+    def test_malformed_map_rejected(self, d_in, d_out, shape, kind, error, match):
+        mat = np.eye(*shape, dtype=complex)
+        with pytest.raises(error, match=match):
+            LinearMap(SystemLayout.of(("X", d_in)), SystemLayout.of(("Y", d_out)), mat, kind)
+
+    @pytest.mark.parametrize("mat,error,match", [
+        (np.eye(3) / 3, LayoutError, "matrix shape"),
+        (np.eye(2), InvariantViolation, "trace"),
+    ])
+    def test_malformed_density_rejected(self, mat, error, match):
+        with pytest.raises(error, match=match):
+            DensityOperator(SystemLayout.of(("X", 2)), mat)
+
     # A NaN compares false with every tolerance, so each check must fail on it.
     @pytest.mark.parametrize("index", [0, 1])
     def test_nan_amplitude_rejected(self, index):

@@ -24,7 +24,7 @@ from qsr.qstate import (
     vector_partial_trace,
 )
 from qsr.sampling import SeededStream, haar_unitary_matrix, random_pure_state
-from qsr.uhlmann import FactoredIsometry, _align, _householder, cross_operator, uhlmann_isometry
+from qsr.uhlmann import FactoredIsometry, UhlmannResult, _align, _householder, cross_operator, uhlmann_isometry
 
 from oracles import uhlmann_fidelity, uhlmann_polar
 
@@ -353,3 +353,17 @@ class TestFactoredIsometry:
         with pytest.raises(GuardExceededError):
             enc.to_linear_map()
         assert rep.protocol.distance_to_target <= 1e-6
+
+
+class TestUhlmannResult:
+    def test_guarantee_holds_at_its_limit(self):
+        UhlmannResult(None, achieved_overlap=1.0, epsilon_in=0.01, distance_out=0.2)
+
+    @pytest.mark.parametrize("overlap,eps,distance,match", [
+        (1.5, 0.0, 0.0, "overlap"),
+        (-0.1, 0.0, 0.0, "overlap"),
+        (0.9, 0.01, 0.21, r"2\*sqrt\(eps\)"),
+    ])
+    def test_violations_rejected(self, overlap, eps, distance, match):
+        with pytest.raises(InvariantViolation, match=match):
+            UhlmannResult(None, achieved_overlap=overlap, epsilon_in=eps, distance_out=distance)
