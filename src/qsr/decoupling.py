@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qstate import DensityOperator, LayoutError, LinearMap, SystemLayout, check_guard, marginal_purity
+from .qstate import DensityOperator, LayoutError, LinearMap, SystemLayout, check_guard, check_range, marginal_purity
 from .qstate import _matricize, _purifying_factor
 from .sampling import SeededStream, haar_unitary_batch, haar_unitary_matrix
 
@@ -81,8 +81,7 @@ class DecouplingResiduals:
 
     def __post_init__(self) -> None:
         for eps in (self.eps1, self.eps2):
-            if not -1e-12 <= eps <= 2.0 + 1e-9:
-                raise ValueError(f"residual {eps} outside the trace-distance range [0, 2]")
+            check_range("residual", eps, 2.0)  # the trace-distance range
 
 
 def decoupling_bound(d_c: int, d_side: int, rho_purity: float, d_traced: int) -> float:

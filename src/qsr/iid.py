@@ -25,6 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import DERIVED_TOL, VANISHING_NORM
 from .decoupling import DEFAULT_SEARCH_ITERS, CutPartition
 from .metrics import ROLES, ResourceRates, entropy_bits, resource_rates
 from .protocol import (
@@ -45,6 +46,7 @@ from .qstate import (
     PureState,
     SystemLayout,
     check_guard,
+    check_range,
     permute_unchecked,
     vector_partial_trace,
 )
@@ -105,8 +107,7 @@ class TypicalProjector:
     weight: float
 
     def __post_init__(self) -> None:
-        if not -1e-12 <= self.weight <= 1.0 + 1e-9:
-            raise ValueError(f"weight {self.weight} outside [0, 1]")
+        check_range("weight", self.weight, 1.0)
 
 
 def typical_stats(rho: "DensityOperator | np.ndarray", spec: TypicalSpec) -> TypicalProjector:
@@ -199,7 +200,7 @@ def _project(
 
 def _normalized(vec: np.ndarray) -> tuple[np.ndarray, float]:
     kept = float(np.linalg.norm(vec) ** 2)
-    if kept < 1e-24:
+    if kept < VANISHING_NORM**2:
         raise DegenerateProjectionError("typical projection annihilated the state")
     return vec / np.sqrt(kept), kept
 
@@ -263,8 +264,8 @@ def allocate_partition(rank: int, rates: ResourceRates, spec: TypicalSpec) -> Ii
     q, e1, e2 = rates.qubits, rates.ebits_consumed, rates.ebits_distilled
     target1 = n * (e2 - 3.0 * t * delta)  # = n [I(B;C) - 6 t delta] / 2
     target2 = n * (e1 - 3.0 * t * delta)  # = n [I(A;C) - 6 t delta] / 2
-    d1 = 1 << math.floor(max(0.0, target1 + 1e-9))
-    d2 = 1 << math.floor(max(0.0, target2 + 1e-9))
+    d1 = 1 << math.floor(max(0.0, target1 + DERIVED_TOL))
+    d2 = 1 << math.floor(max(0.0, target2 + DERIVED_TOL))
     d3 = -(-rank // (d1 * d2))  # ceil
     padding = d1 * d2 * d3 - rank
     s_c = q + e1 + e2  # 2 S(C) = I(B;C) + I(A;C) + I(C;R|B)
@@ -272,7 +273,7 @@ def allocate_partition(rank: int, rates: ResourceRates, spec: TypicalSpec) -> Ii
     target3 = n * (q + 6.0 * t * delta + eta)
     alloc = IidAllocation(d1, d2, d3, eta_slack=eta, padding=padding, target_log2_d1=target1,
                           target_log2_d2=target2, target_log2_d3=target3)
-    if abs(eta) > t * delta + 1e-9:
+    if abs(eta) > t * delta + DERIVED_TOL:
         raise InfeasibleAllocationError(
             f"eta slack {eta:.6f} outside [-{t * delta:.6f}, {t * delta:.6f}] "
             f"(n = {n} too small for delta = {delta}, t = {t}); allocation was {alloc}"
@@ -298,7 +299,7 @@ def _embed_typical_c(
     out[: gathered.shape[0], :] = gathered
     flat = out.reshape(-1)
     norm = float(np.linalg.norm(flat))
-    if norm < 1e-12:
+    if norm < VANISHING_NORM:
         raise DegenerateProjectionError("embedding dropped all amplitude mass")
     d_a, d_b, d_r = (math.prod(layout.dims[k * n : (k + 1) * n]) for k in (1, 2, 3))
     new_layout = SystemLayout.of(("C", total_dim), ("A", d_a), ("B", d_b), ("R", d_r))

@@ -12,7 +12,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .config import DERIVED_TOL, EIGENVALUE_CLAMP
+from .config import COLLINEAR_TOL, DERIVED_TOL, EIGENVALUE_CLAMP
 from .qstate import (
     DensityOperator,
     InvariantViolation,
@@ -68,13 +68,13 @@ def pure_trace_distance(u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v).reshape(-1)
     e1 = np.array(u, dtype=np.result_type(u, v, 1.0), order="C").reshape(-1)
     nu = np.sqrt(e1.real.dot(e1.real) + e1.imag.dot(e1.imag))  # np.linalg.norm's formula, without its dispatch
-    if nu < 1e-300:
+    if nu < 1e-300:  # u is zero: a division guard, not a tolerance
         return float(np.linalg.norm(v) ** 2)
     e1 /= nu
     c = np.vdot(e1, v)
     w = np.subtract(v, np.multiply(c, e1, out=e1), out=e1)  # c first, as in c * e1: e1 * c may round otherwise
     nw = np.sqrt(w.real.dot(w.real) + w.imag.dot(w.imag))
-    if nw < 1e-15:
+    if nw < COLLINEAR_TOL:
         # Collinear: difference is rank one.
         return float(abs(nu**2 - abs(c) ** 2))
     tr = (nu - abs(c)) * (nu + abs(c)) - nw * nw

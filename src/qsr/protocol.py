@@ -38,6 +38,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import VANISHING_NORM
 from .decoupling import DEFAULT_SEARCH_ITERS, CutPartition, _bound, _factors, search_unitary
 from .metrics import ROLES, pure_trace_distance, role_groups
 from .qstate import (
@@ -47,7 +48,9 @@ from .qstate import (
     PureState,
     SystemLayout,
     _matricize,
+    check_bound,
     check_guard,
+    check_range,
 )
 from .sampling import SeededStream
 from .uhlmann import UhlmannResult, _align as _uhlmann_align, _CheckedRotation
@@ -221,8 +224,7 @@ class ProtocolPlan:
 
     def __post_init__(self) -> None:
         for g in (self.gamma1, self.gamma2):
-            if not -1e-12 <= g <= 4.0 + 1e-9:
-                raise InvariantViolation(f"gamma {g} outside [0, 4]")
+            check_range("gamma", g, 4.0)
 
     @property
     def measured_eps1(self) -> float:
@@ -260,11 +262,8 @@ class ProtocolReport:
     final_norm: float
 
     def __post_init__(self) -> None:
-        for bound in (self.measured_bound, self.analytic_bound):
-            if not self.distance_to_target <= min(2.0, bound) + 1e-8:
-                raise InvariantViolation(
-                    f"distance {self.distance_to_target} exceeds min(2, {bound}) + 1e-8"
-                )
+        check_bound("min(2, measured bound)", self.distance_to_target, min(2.0, self.measured_bound))
+        check_bound("min(2, analytic bound)", self.distance_to_target, min(2.0, self.analytic_bound))
 
 
 def build_plan(
@@ -344,7 +343,7 @@ def _run(start: np.ndarray, undo: _Geometry, redo: _Geometry, plan: ProtocolPlan
     vec = vec.reshape(redo.outputs).transpose(redo.half.to_layout).reshape(-1)
     distance = pure_trace_distance(vec, _entangled(plan.phi.amplitudes[None], redo.kept))
     norm = float(np.linalg.norm(vec))
-    if not norm >= 1e-12:
+    if not norm >= VANISHING_NORM:
         raise InvariantViolation("final state has vanished; cannot report a normalized state")
     vec /= norm
     return ProtocolReport(

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import EIGENVALUE_CLAMP, INVARIANT_TOL
+from .config import BOUND_SLACK, DERIVED_TOL, EIGENVALUE_CLAMP, INVARIANT_TOL
 
 STATE_FORMAT_VERSION = "qsr-state/1"
 
@@ -50,6 +50,18 @@ def check_guard(what: str, entries: int, guard: int = DEFAULT_GUARD) -> None:
     if entries > guard:
         count = entries if entries <= 2**63 else f"at least 2^{entries.bit_length() - 1}"  # a huge int has no str()
         raise GuardExceededError(f"{what} needs {count} entries, above the guard of {guard}")
+
+
+def check_range(what: str, value: float, high: float) -> None:
+    """Refuse a ``value`` outside [0, ``high``] beyond rounding: below -EIGENVALUE_CLAMP or above high + DERIVED_TOL."""
+    if not -EIGENVALUE_CLAMP <= value <= high + DERIVED_TOL:
+        raise InvariantViolation(f"{what} {value} outside [0, {high:g}]")
+
+
+def check_bound(what: str, distance: float, bound: float) -> None:
+    """Refuse a ``distance`` above ``bound`` (named ``what``) by more than BOUND_SLACK."""
+    if not distance <= bound + BOUND_SLACK:
+        raise InvariantViolation(f"distance {distance} exceeds {what} {bound} + {BOUND_SLACK}")
 
 
 # ---------------------------------------------------------------------------
@@ -418,20 +430,11 @@ def apply(m: LinearMap, state, targets: Sequence[str]):
     if isinstance(state, PureState):
         return PureState(*apply_unchecked(m, state.layout, state.amplitudes, targets))
     if isinstance(state, DensityOperator):
-        layout = state.layout
+        layout, d = state.layout, state.layout.total_dim
         new_layout = apply_layout(layout, m, targets)
-        axes = layout.axes(targets)
-        k = len(layout.dims)
-        flat = state.matrix.reshape(-1)
-        dims2 = layout.dims + layout.dims
-        row, dims_after = vector_apply(flat, dims2, axes, m.matrix, m.output_layout.dims)
-        # Column side: the row update shifted the column axes; they now start
-        # after the updated row block.
-        n_row_axes = len(dims_after) - k
-        col_axes = [n_row_axes + a for a in axes]
-        both, _ = vector_apply(row, dims_after, col_axes, m.matrix.conj(), m.output_layout.dims)
-        d_new = new_layout.total_dim
-        return DensityOperator(new_layout, both.reshape(d_new, d_new))
+        a, _ = vector_apply(np.eye(d), layout.dims + (d,), layout.axes(targets), m.matrix, m.output_layout.dims)
+        a = a.reshape(new_layout.total_dim, d)  # the map on the whole register, column by column
+        return DensityOperator(new_layout, a @ state.matrix @ a.conj().T)
     raise TypeError("apply requires a PureState or DensityOperator")
 
 

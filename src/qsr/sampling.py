@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import LayoutError, LinearMap, PureState, SystemLayout
+from .qstate import DensityOperator, LayoutError, LinearMap, PureState, SystemLayout
 
 GENERATOR_VERSION = "philox4x64/qsr-1"
 
@@ -85,10 +85,8 @@ def random_pure_state(layout: SystemLayout, stream: SeededStream) -> PureState:
     return PureState(layout, v / np.linalg.norm(v))
 
 
-def random_density(layout: SystemLayout, rank: int, stream: SeededStream) -> "DensityOperator":
+def random_density(layout: SystemLayout, rank: int, stream: SeededStream) -> DensityOperator:
     """Wishart-style random density operator of the given rank."""
-    from .qstate import DensityOperator
-
     d = layout.total_dim
     if not 1 <= rank <= d:
         raise LayoutError(f"rank {rank} out of range [1, {d}]")

@@ -20,7 +20,6 @@ import numpy as np
 
 from .metrics import gram_trace_distance, pure_trace_distance
 from .qstate import (
-    InvariantViolation,
     LayoutError,
     LinearMap,
     PureState,
@@ -28,7 +27,9 @@ from .qstate import (
     _check_isometry,
     _gram_rows,
     _matricize,
+    check_bound,
     check_guard,
+    check_range,
 )
 
 def _shared_first(
@@ -167,13 +168,8 @@ class UhlmannResult:
     distance_out: float
 
     def __post_init__(self) -> None:
-        if not -1e-12 <= self.achieved_overlap <= 1.0 + 1e-9:
-            raise InvariantViolation(f"overlap {self.achieved_overlap} outside [0, 1]")
-        slack = 2.0 * np.sqrt(max(self.epsilon_in, 0.0)) + 1e-8
-        if not self.distance_out <= slack:
-            raise InvariantViolation(
-                f"distance_out {self.distance_out} violates the 2*sqrt(eps) guarantee {slack}"
-            )
+        check_range("overlap", self.achieved_overlap, 1.0)
+        check_bound("the 2*sqrt(eps) guarantee", self.distance_out, 2.0 * np.sqrt(max(self.epsilon_in, 0.0)))
 
 
 def _align(

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from qsr import decoupling
 from qsr.cli import _CSV_FIELDS, _build_parser, main
 from qsr.qstate import state_from_json
 
@@ -182,6 +183,14 @@ class TestExitCodes:
     def test_unknown_state_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "rates", "--state", "no-such-preset")
         assert code == 1
+
+    def test_failed_numerical_check_is_three(self, capsys, monkeypatch):
+        # A residual beyond the trace-distance range [0, 2] is a numerical fault: exit 3, no traceback.
+        kernel = decoupling._residuals
+        monkeypatch.setattr(decoupling, "_residuals", lambda *args: kernel(*args) + 2.5)
+        code, out, err = run_cli(capsys, "protocol", "--state", "bell-CA", "--partition", "1,2,1", "--seed", "3")
+        assert code == 3 and out == ""
+        assert err.startswith("numerical check failed: residual") and err.count("\n") == 1
 
     def test_guard_refusal_is_two(self, capsys):
         code, _, err = run_cli(capsys, "iid", "--state", "product", "--n", "8", "--seed", "1")

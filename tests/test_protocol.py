@@ -248,6 +248,14 @@ class TestForwardRuns:
         rep = run_forward(phi, plan)
         assert rep.final_state.layout.labels == ("C1", "B1", "Cp", "A", "Bp", "R")
 
+    def test_vanished_final_state_is_refused(self):
+        plan = build_plan(preset_state("bell-CA"), PRESET_ROLES, CutPartition(1, 2, 1), stream=SeededStream(100))
+        encoder, decoder = _geometry(plan.phi.dims, plan.partition)
+        start = initial_state(plan).amplitudes
+        for scale in (0.0, 1e-13):
+            with pytest.raises(InvariantViolation, match="vanished"):
+                protocol._run(start * scale, encoder, decoder, plan)
+
 
 class TestReverseRuns:
     def test_reverse_recovers_initial_state(self):
