@@ -11,9 +11,9 @@ below exploits exactly that.
 
 This is the only module that evaluates a decoupling condition: one kernel for
 the residual and one for the bound, both on a pure vector with C on axis 0.
-The residual's eigensolver runs on the side marginal's support only (the other
-rows are exact zeros, see :func:`_residuals`), so a typical projection of
-phi^(x)n pays for the side strings it keeps, not for d_side.
+The residual's Gram and eigensolver run on the side marginal's support only
+(the other rows are exact zeros, see :func:`_residuals`), so a typical
+projection of phi^(x)n pays for the side strings it keeps, not for d_side.
 The protocol passes its reference states, and its alignments take the
 residual's factors M and S; the density-operator API below (what ``qsr
 decouple`` runs) purifies its operand once per call.
@@ -129,28 +129,30 @@ def _residuals(
 
     A side row where ``vec`` is exactly zero is zero in S and in every U.vec (U acts on C only), so
     row and column k * len(S) + s of the difference are exact zeros for every kept index k: they
-    add only zero eigenvalues, and ``eigvalsh`` runs on the other rows and columns alone.
+    add only zero eigenvalues, and the difference is formed and solved on the other rows alone.
     """
     m, s = _factors(vec, dims, side, keep, p, us, rotated)
-    d_kept = (p.d1, p.d2)[_keep_index(keep)]
-    diff, rows = _difference(m, s, d_kept), np.flatnonzero(s.any(axis=1))
-    if len(rows) < len(s):
-        live = (np.arange(0, d_kept * len(s), len(s))[:, None] + rows).reshape(-1)
-        diff = diff[:, live[:, None], live]
+    rows = np.flatnonzero(s.any(axis=1))
+    diff = _difference(m, s, (p.d1, p.d2)[_keep_index(keep)], slice(None) if len(rows) == len(s) else rows)
     return np.abs(np.linalg.eigvalsh(diff)).sum(axis=1)
 
 
-def _difference(m: np.ndarray, s: np.ndarray, d_kept: int) -> np.ndarray:
-    """M M^H - I/d_kept (x) S S^H for each M of the stack ``m``.
+def _difference(m: np.ndarray, s: np.ndarray, d_kept: int, rows: "np.ndarray | slice" = slice(None)) -> np.ndarray:
+    """M M^H - I/d_kept (x) S S^H for each M of the stack ``m``, on rows and columns k * len(s) + r, r in ``rows``.
 
-    The target is block diagonal, so S S^H / d_kept comes off each of the Gram's d_kept diagonal
-    blocks in place: besides the Gram, only an array 1/d_kept^2 of its size is alive.
+    Each live row of the Gram is formed against every column of M^H (``M[live] @ M^H``) and only
+    then cut to the live columns, so every entry keeps the full Gram's dot product, bit for bit; a
+    square ``M[live] @ M[live]^H`` rounds differently.  A full slice (the default) is the full Gram
+    with no copy.  The target is block diagonal, so S S^H / d_kept comes off each of the d_kept
+    diagonal blocks in place: besides the Gram, only an array 1/d_kept^2 of its size is alive.
     """
-    gram = m @ m.conj().transpose(0, 2, 1)
-    block, w = s @ s.conj().T, len(s)
+    live = rows if isinstance(rows, slice) else (np.arange(0, d_kept * len(s), len(s))[:, None] + rows).reshape(-1)
+    gram = (m[:, live] @ m.conj().transpose(0, 2, 1))[:, :, live]
+    block = (s[rows] @ s.conj().T)[:, rows]
     block *= 1.0 / d_kept
-    for i in range(0, d_kept * w, w):
-        gram[:, i : i + w, i : i + w] -= block
+    w = len(block)
+    for i in range(d_kept):
+        gram[:, i * w : (i + 1) * w, i * w : (i + 1) * w] -= block
     return gram
 
 

@@ -434,6 +434,7 @@ BIT_IDENTITY_COMMANDS = (
     ("iid --state bell-CR --sweep 2..6 --delta 0.05 --t 1.5 --seed 1", 0),
     ("iid --state ghz-CBR --n 4 --delta 0.05 --seed 2", 0),
     ("iid --state random --n 3 --delta 0.35 --t 1.2 --seed 124", 0),
+    ("iid --state tilted-ghz-CBR --n 5 --delta 0.2 --seed 1", 0),
     ("iid --state tilted-CR --n 7 --delta 2.127125289449806", 0),
     ("iid --state bell-CA --n 6 --delta 0.2", 0),
 )

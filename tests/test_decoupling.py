@@ -277,16 +277,31 @@ class TestResidualSupport:
         assert len(dropped) > 0
         assert not diff[:, dropped, :].any() and not diff[:, :, dropped].any()
 
+    @staticmethod
+    def _assert_live_block_is_bit_identical(vec, dims, side, keep, p, us):
+        # The kernel forms each live row of the Gram against every column of
+        # M^H, so every entry must be the full difference's; a square
+        # M_live M_live^H rounds differently on tilted-ghz-CBR.
+        live, _ = _support_rows(vec, dims, side, keep, (p.d1, p.d2, p.d3))
+        m, s = _factors(vec, dims, side, keep, p, us)
+        d_kept = len(m[0]) // len(s)
+        full = _difference(m, s, d_kept)
+        rows = live[: len(live) // d_kept]  # kept index 0: the live side strings themselves
+        assert np.array_equal(_difference(m, s, d_kept, rows), full[:, live[:, None], live])
+
     @pytest.mark.parametrize("keep,cut", [(KEEP_C1, (2, 1, 1)), (KEEP_C2, (1, 2, 1))])
     def test_dropped_rows_of_ghz_are_exact_zeros(self, keep, cut):
         ghz = preset_state("ghz-CBR")
         us = haar_unitary_batch(4, 2, SeededStream(72).generator())
         self._assert_dropped_rows_are_zero(ghz.amplitudes, ghz.dims, (2, 3), keep, CutPartition(*cut), us)
 
-    @pytest.mark.parametrize("preset,delta,widths", [("ghz-CBR", 0.05, {64, 32}), ("tilted-ghz-CBR", 0.2, {5})])
+    @pytest.mark.parametrize("preset,delta,widths", [
+        ("ghz-CBR", 0.05, {64, 32}), ("tilted-ghz-CBR", 0.2, {5}), ("product", 0.1, {1}),
+    ])
     def test_iid_residuals_run_on_the_support(self, residual_spy, preset, delta, widths):
-        # At n = 5 both presets search a half whose side marginal lives on 32
-        # (ghz) or 5 (tilted) of 1,024 strings: its full difference is 1,024 wide.
+        # At n = 5 these presets search a half whose side marginal lives on 32
+        # (ghz), 5 (tilted) or 1 (product) of 1,024 strings: its full
+        # difference is 1,024 wide.
         iid_experiment(preset_state(preset), PRESET_ROLES, TypicalSpec(n=5, delta=delta, t=1.5), SeededStream(73))
         assert residual_spy and {w for _, got in residual_spy for w in got} == widths
         for args, got in residual_spy:
@@ -295,6 +310,7 @@ class TestResidualSupport:
             assert got == [len(live)]
             if len(dropped):
                 self._assert_dropped_rows_are_zero(vec, dims, side, keep, p, us)
+                self._assert_live_block_is_bit_identical(vec, dims, side, keep, p, us)
 
     def test_full_support_keeps_full_width(self, residual_spy):
         rng = SeededStream(74).generator()
@@ -316,6 +332,24 @@ class TestResidualSupport:
         want = decoupling_residuals(vec, dims, (1,), 0 if keep == KEEP_C1 else 1, cut, us)
         assert residual_spy[0][1] == [4]
         assert np.all(np.abs(got - want) <= 8 * 6 * np.finfo(float).eps * want), got - want
+
+    def test_peak_memory_of_a_sparse_side(self):
+        # ghz-CBR n=5's vacuous half: M is 1,024 x 32 with 32 live side strings.
+        # The full 1,024-wide Gram alone is 16 MiB; the live rows need 0.5 MiB.
+        rng = SeededStream(78).generator()
+        vec = np.zeros((2, 1024, 16), complex)
+        on = rng.choice(1024, 32, replace=False)
+        vec[:, on] = rng.standard_normal((2, 32, 16)) + 1j * rng.standard_normal((2, 32, 16))
+        args = (vec.reshape(-1) / np.linalg.norm(vec), (2, 1024, 16), (1,), KEEP_C1, CutPartition(1, 2, 1))
+        us = haar_unitary_batch(1, 2, rng)
+        _residuals(*args, us)
+        tracemalloc.start()
+        try:
+            _residuals(*args, us)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, peak / 2**20
 
     def test_all_zero_support_is_zero(self):
         us = haar_unitary_batch(3, 4, SeededStream(76).generator())

@@ -15,6 +15,7 @@ from qsr.metrics import (
     pure_trace_distance,
     purity,
     resource_rates,
+    role_groups,
     trace_distance,
     trace_norm,
     von_neumann_entropy,
@@ -268,6 +269,10 @@ class TestResourceRates:
         phi = random_pure_state(FOUR_QUBITS, SeededStream(10))
         with pytest.raises(LayoutError):
             resource_rates(phi, {"C": "C", "A": "A", "B": "B", "R": "A"})
+
+    def test_role_for_a_label_not_in_the_layout_rejected(self):
+        with pytest.raises(LayoutError, match="not in the layout"):
+            role_groups(FOUR_QUBITS.labels, {**PRESET_ROLES, "X": "R"})
 
     def test_rate_swap_under_ab_exchange(self):
         for tag in range(10):

@@ -192,6 +192,15 @@ class TestBuildPlan:
         assert plan.measured_eps2 == plan.decoder_alignment.epsilon_in
         assert plan.analytic_bound == (plan.gamma1 + plan.eta1) + (plan.gamma2 + plan.eta2)
 
+    @pytest.mark.parametrize("other", [0, 1])
+    def test_refs_in_another_layout_are_refused(self, other):
+        # The reference has phi's labels, so canonicalizing it succeeds, but R is 4-dimensional.
+        phi = _random_phi(7)
+        wide = random_pure_state(SystemLayout.of(("C", 4), ("A", 2), ("B", 2), ("R", 4)), SeededStream(90).derive(8))
+        refs = (wide, phi) if other == 0 else (phi, wide)
+        with pytest.raises(LayoutError, match="must share"):
+            build_plan(phi, PRESET_ROLES, CutPartition(2, 2, 1), refs=refs, stream=SeededStream(99))
+
     def test_gamma_outside_its_range_is_refused(self):
         plan = build_plan(_random_phi(6), PRESET_ROLES, CutPartition(2, 2, 1), stream=SeededStream(98))
         for gamma in (4.5, -0.1):
@@ -216,6 +225,12 @@ class TestForwardRuns:
         rep = run_forward(phi, plan)
         assert rep.distance_to_target <= 1e-6
         assert (rep.qubits_sent, rep.ebits_consumed, rep.ebits_distilled) == (1.0, 0.0, 0.0)
+
+    def test_state_in_another_layout_is_refused(self):
+        plan = build_plan(_random_phi(9), PRESET_ROLES, CutPartition(2, 2, 1), stream=SeededStream(100))
+        wide = random_pure_state(SystemLayout.of(("C", 4), ("A", 2), ("B", 2), ("R", 4)), SeededStream(90).derive(10))
+        with pytest.raises(LayoutError, match="does not match the plan"):
+            run_forward(wide, plan)
 
     def test_random_states_obey_measured_bound(self):
         for tag in range(8):
