@@ -270,7 +270,8 @@ def search_unitary(
     """Sample Haar unitaries on C until both conditions hold, else best-so-far.
 
     ``first`` and ``second`` are the two conditions' kernel operands (vec, dims, side, keep), bounded
-    by ``alpha`` and ``beta``; U.vec is formed once per draw when both read one vector.  The
+    by ``alpha`` and ``beta``; U.vec is formed once per draw when both read one vector, and one
+    residual serves as eps1 and eps2 when the two conditions are one (``second is first``).  The
     best-so-far objective max(eps1^2/(2 alpha), eps2^2/(2 beta)) puts the two unlike bounds on the
     same scale.  Deterministic given ``rng``.
     """
@@ -284,7 +285,8 @@ def search_unitary(
         u = haar_unitary_matrix(p.total, rng)
         us = u[None]
         rotated = _rotate(first[0], p.total, us) if one_vec else None
-        eps1, eps2 = float(_residuals(*first, p, us, rotated)[0]), float(_residuals(*second, p, us, rotated)[0])
+        eps1 = float(_residuals(*first, p, us, rotated)[0])
+        eps2 = eps1 if second is first else float(_residuals(*second, p, us, rotated)[0])
         if condition_met(eps1, alpha) and condition_met(eps2, beta):
             return u, DecouplingResiduals(eps1, eps2, accepted=True), i
         obj = max(eps1**2 / (2.0 * alpha), eps2**2 / (2.0 * beta))

@@ -108,9 +108,10 @@ def _sizes(dims: Sequence[int], p: CutPartition) -> dict[str, int]:
 
 
 # One half at one (dims, cut): the layouts of its isometry (own -> out) and pair state, the kept dimension, a run's
-# reshapes (layout, inputs, outputs), its shared rows, and its largest array: the pair state (which bounds a dense K
-# and its Y), the residual's Gram (shared^2) or Z (own^2, or d_C^2 for the U^H of a trivial kept factor).
-_Geometry = collections.namedtuple("_Geometry", "half source dest pair kept dims inputs outputs shared entries")
+# reshapes (layout, inputs, outputs), its shared rows, whether its condition is the other half's, and its largest
+# array: the pair state (which bounds a dense K and both Y), the residual's Gram or the core W (shared^2), or the
+# d_C^2 U^H of a trivial kept factor.
+_Geometry = collections.namedtuple("_Geometry", "half source dest pair kept dims inputs outputs shared entries alike")
 
 
 @functools.lru_cache(maxsize=64)
@@ -118,9 +119,11 @@ def _geometry(dims: tuple[int, ...], p: CutPartition) -> tuple[_Geometry, _Geome
     """The encoder's and the decoder's geometry at canonical (C, A, B, R) ``dims`` and cut ``p``.
 
     Both halves and both runs of a plan read it, and plans of one shape (a cut grid, an n-sweep, a
-    cut scan) repeat it, so it is derived once per (dims, cut).
+    cut scan) repeat it, so it is derived once per (dims, cut).  The two conditions are one (``alike``) when
+    their M rows (kept factor, then side) name the same non-trivial labels: M, S and d_kept then agree.
     """
     sizes = _sizes(dims, p)
+    alike = [lab for lab in _ENCODER.shared if sizes[lab] > 1] == [lab for lab in _DECODER.shared if sizes[lab] > 1]
 
     def of(labels: tuple[str, ...]) -> tuple[int, ...]:
         return tuple(sizes[lab] for lab in labels)
@@ -128,8 +131,9 @@ def _geometry(dims: tuple[int, ...], p: CutPartition) -> tuple[_Geometry, _Geome
     def geometry(h: _Half) -> _Geometry:
         source, dest, pair = (SystemLayout(tuple(zip(labels, of(labels)))) for labels in (h.own, h.out, h.layout))
         kept, shared = sizes[h.shared[0]], math.prod(of(h.shared))
-        entries = max(pair.total_dim, shared**2, (source.total_dim if kept > 1 else p.total) ** 2)
-        return _Geometry(h, source, dest, pair, kept, of(h.layout), of(h.inputs), of(h.outputs), shared, entries)
+        entries = max(pair.total_dim, shared**2, p.total**2 if kept == 1 else 0)
+        return _Geometry(h, source, dest, pair, kept, of(h.layout), of(h.inputs), of(h.outputs), shared, entries,
+                         alike)
 
     return geometry(_ENCODER), geometry(_DECODER)
 
@@ -298,16 +302,17 @@ def _assemble(
     """:func:`build_plan` on canonical states, after the caller's size check."""
     gamma1, gamma2 = _gamma(canon, hat), _gamma(canon, check)
 
-    # alpha bounds the decoder's condition on check, beta the encoder's on hat.
+    # alpha bounds the decoder's condition on check, beta the encoder's on hat; one met twice is searched once.
+    encoder, decoder = _geometry(canon.dims, p)
     first, second = _condition(_DECODER, check), _condition(_ENCODER, hat)
     alpha, beta = _bound(*first, p), _bound(*second, p)
+    second = first if encoder.alike and hat is check else second
     u, res, iters = search_unitary(first, second, p, alpha, beta, search_budget, stream.generator())
     u_h = u.conj().T if min(p.d1, p.d2) == 1 else None  # shared by both closed-form halves
     c_layout = SystemLayout.of(("C", p.total))
     u = LinearMap(c_layout, c_layout, u, kind="unitary")  # the plan's one check of U, which u_h relies on
     # res.eps2 is the encoder's (keep C2) residual, res.eps1 the decoder's
     # (keep C1); eta1 bounds the former, eta2 the latter.
-    encoder, decoder = _geometry(canon.dims, p)
     w_res = _align(encoder, hat, u.matrix, u_h, p, res.eps2)
     v_res = _align(decoder, check, u.matrix, u_h, p, res.eps1)
     return ProtocolPlan(

@@ -7,9 +7,10 @@ Uhlmann fidelity F(mu_S, nu_S), so when the shared marginals are eps-close in
 trace distance the aligned states are within 2 sqrt(eps).  The fidelity fixes
 K only on the support of X; any isometric extension off it gives the same
 overlap and the same bound, so each construction below takes the extension
-its factorization hands it, and keeps K in the factors that built it
-(:class:`FactoredIsometry`, which also holds a closed-form K = U^H (x) I as its
-U^H, relying on U's own check); the dense matrix is an explicit, guarded export.
+its factorization hands it, and keeps K in the factors that built it, none of them
+purifier x purifier (:class:`FactoredIsometry`, which also holds a closed-form
+K = U^H (x) I as its U^H, relying on U's own check); the dense matrix is an
+explicit, guarded export.
 """
 
 from __future__ import annotations
@@ -103,11 +104,12 @@ def _leading(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 class FactoredIsometry:
     """An isometry K from ``input_layout`` to ``output_layout``, kept as the factors that built it.
 
-    With reflectors ``y`` (d_out x r) and ``t`` (r x r), K = (I - Y T Y^H)[:, :d_in] Z
-    with a d_in x d_in unitary ``z``, and K is never formed; without them
-    K = z (x) I_rest, ``z`` acting on the leading factor of both layouts (``z`` is
-    K at ``rest = 1``).  Checked on construction at the factors' cost: Z^H Z = I (but see
-    :class:`_CheckedRotation`), and T + T^H = T^H (Y^H Y) T, which makes I - Y T Y^H unitary.
+    With output reflectors ``y`` (d_out x r), ``t`` (r x r) and input reflectors ``y_in`` (d_in x r),
+    ``t_in``, K = (I - Y T Y^H)[:, :d_in] diag(W, I) (I - Y_in T_in Y_in^H)^H with an r x r unitary
+    core W = ``z``, and no factor is d_in x d_in; without them K = z (x) I_rest, ``z`` acting on the
+    leading factor of both layouts (``z`` is K at ``rest = 1``).  Checked on construction at the
+    factors' cost: z^H z = I (but see :class:`_CheckedRotation`), and T + T^H = T^H (Y^H Y) T for
+    each reflector pair, which makes I - Y T Y^H unitary: together, K is an isometry.
     """
 
     input_layout: SystemLayout
@@ -115,18 +117,21 @@ class FactoredIsometry:
     z: np.ndarray
     y: "np.ndarray | None" = None
     t: "np.ndarray | None" = None
+    y_in: "np.ndarray | None" = None
+    t_in: "np.ndarray | None" = None
     rest: int = 1
 
     def __post_init__(self) -> None:
         d_in, d_out, rest = self.input_layout.total_dim, self.output_layout.total_dim, self.rest
         r = 0 if self.t is None else len(self.t)
-        want = [(d_out // rest, d_in // rest)] if self.y is None else [(d_in, d_in), (d_out, r), (r, r)]
-        got = [np.shape(f) for f in (self.z, self.y, self.t)[: len(want)]]
-        if d_out < d_in or got != want or d_in % rest or d_out % rest or (rest > 1 and self.y is not None):
+        want = [(d_out // rest, d_in // rest)] if self.y is None else [(r, r), (d_out, r), (r, r), (d_in, r), (r, r)]
+        got = [np.shape(f) for f in (self.z, self.y, self.t, self.y_in, self.t_in)[: len(want)]]
+        if not r <= d_in <= d_out or got != want or d_in % rest or d_out % rest or (rest > 1 and self.y is not None):
             raise LayoutError(f"isometry {d_in} -> {d_out} has factor shapes {got} and rest {rest}, want {want}")
-        if self.y is not None:
-            t, th, gram = self.t, self.t.conj().T, np.vstack([g for _, g in _gram_rows(self.y)])
-            _check_isometry(self.z, np.abs(t + th - th @ gram @ t).max())
+        if self.y is not None:  # W, and each reflector pair's WY identity, with Y^H Y taken blockwise
+            defects = [np.abs(t + t.conj().T - t.conj().T @ np.vstack([g for _, g in _gram_rows(y)]) @ t).max()
+                       for y, t in ((self.y, self.t), (self.y_in, self.t_in))]
+            _check_isometry(self.z, *defects)
         elif not isinstance(self, _CheckedRotation):
             _check_isometry(self.z)
 
@@ -141,17 +146,21 @@ class FactoredIsometry:
         """x K^T: K on each row of ``x``, a matrix whose columns run over the input."""
         if self.y is None:
             return _leading(self.z, x)
-        a = x @ self.z.T
-        out = -(((a @ self.y[: a.shape[1]].conj()) @ self.t.T) @ self.y.T)
-        out[:, : a.shape[1]] += a
+        r, d_in = len(self.z), x.shape[1]
+        a = x - ((x @ self.y_in.conj()) @ self.t_in.conj()) @ self.y_in.T  # x conj(Q_in)
+        a[:, :r] = a[:, :r] @ self.z.T
+        out = ((a @ self.y[:d_in].conj()) @ -self.t.T) @ self.y.T
+        out[:, :d_in] += a
         return out
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
         """x conj(K) = (K^H x^T)^T: K^H on each row of ``x`` (columns over the output), no renormalization."""
         if self.y is None:
             return x @ self.z.conj() if self.rest == 1 else _leading(self.z.conj().T, x)
-        d_in = len(self.z)
-        return (x[:, :d_in] - ((x @ self.y.conj()) @ self.t.conj()) @ self.y[:d_in].T) @ self.z.conj()
+        r, d_in = len(self.z), len(self.y_in)
+        a = x[:, :d_in] - ((x @ self.y.conj()) @ self.t.conj()) @ self.y[:d_in].T
+        a[:, :r] = a[:, :r] @ self.z.conj()
+        return a - ((a @ self.y_in.conj()) @ self.t_in.T) @ self.y_in.T
 
 
 class _CheckedRotation(FactoredIsometry):
@@ -189,10 +198,7 @@ def _align(
         y_n, t_n, r_n = _householder(n.T)
         y_m, t_m, r_m = _householder(m.T)
         uz, s, vzh = np.linalg.svd(r_n @ r_m.conj().T)
-        z = np.eye(d_b, dtype=complex)
-        z[:d_s, :d_s] = uz @ vzh
-        z -= (z @ y_m) @ (t_m.conj().T @ y_m.conj().T)
-        iso = FactoredIsometry(source, dest, z, y_n, t_n)
+        iso = FactoredIsometry(source, dest, uz @ vzh, y_n, t_n, y_m, t_m)
     return iso, float(s.sum()), pure_trace_distance(iso.apply(m), n)
 
 
@@ -205,8 +211,8 @@ def uhlmann_isometry(
     directions of a rank-deficient X included.  With d_S < d_B, conj(X) =
     N^T conj(M) has rank at most d_S: one Householder QR per side,
     N^T = Q_N R_N and M^T = Q_M R_M, reduces it to the d_S x d_S core
-    R_N R_M^H = Uz S Vz^H, and K = Q_N[:, :d_B] diag(Uz Vz^H, I) Q_M^H, at cost
-    O(d_C d_S d_B + d_S d_B^2).  The achieved overlap <nu|(I (x) K)|mu> = sum S
+    R_N R_M^H = Uz S Vz^H, and K = Q_N[:, :d_B] diag(Uz Vz^H, I) Q_M^H, kept as its five
+    factors and checked at cost O(d_C d_S^2).  The achieved overlap <nu|(I (x) K)|mu> = sum S
     is real nonnegative (the Uhlmann fidelity of the shared marginals).  K is
     returned dense (:meth:`FactoredIsometry.to_linear_map`, size-guarded).
     """

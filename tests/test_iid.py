@@ -336,9 +336,9 @@ class TestExperimentDriver:
     def test_exact_identities_are_not_computed(self, monkeypatch):
         # bell-CR n = 7 keeps every string in all five groups, and both protocol halves have a trivial
         # kept factor.  So copies are rotated only to embed omega, which is also hat and check; U.omega
-        # is formed once per search iteration and M only by the search's residuals, two per iteration;
-        # and one check of a d_C x d_C matrix, U's, serves the plan, whose two closed-form halves share
-        # one U^H.
+        # is formed once per search iteration and M only by the search's residual, one per iteration,
+        # since with A and B trivial too the two conditions are one; and one check of a d_C x d_C
+        # matrix, U's, serves the plan, whose two closed-form halves share one U^H.
         calls = {}
 
         def spy(module, name):
@@ -361,7 +361,7 @@ class TestExperimentDriver:
         assert (p.d1, p.d2) == (1, 1)
         assert [caller for caller, _ in calls["_rotate_copies"]] == ["_embed_typical_c"]
         assert [caller for caller, _ in calls["_rotate"]] == ["search_unitary"] * plan.iterations_used
-        assert [caller for caller, _ in calls["_factors"]] == ["_residuals"] * (2 * plan.iterations_used)
+        assert [caller for caller, _ in calls["_factors"]] == ["_residuals"] * plan.iterations_used
         assert [shape for _, shape in calls["_check_isometry"]].count((p.total, p.total)) == 1
         assert plan.encoder_alignment.isometry.z is plan.decoder_alignment.isometry.z
 

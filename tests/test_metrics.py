@@ -8,6 +8,7 @@ import pytest
 from qsr.metrics import (
     ResourceRates,
     conditional_mutual_information,
+    entropy_bits,
     gram_trace_distance,
     hermitian_trace_distance,
     marginal_entropy,
@@ -216,6 +217,9 @@ class TestPurityEntropy:
     def test_entropy_of_maximally_mixed(self):
         for d in (2, 3, 8):
             assert abs(von_neumann_entropy(maximally_mixed(d, "X")) - np.log2(d)) < 1e-12
+
+    def test_entropy_of_an_all_zero_spectrum_is_zero(self):
+        assert entropy_bits(np.zeros(3)) == 0.0
 
     def test_binary_entropy_value(self):
         rho = DensityOperator(SystemLayout.of(("X", 2)), np.diag([0.9, 0.1]))

@@ -5,11 +5,15 @@ import dataclasses
 import functools
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from qsr import protocol, qstate, uhlmann
-from qsr.decoupling import KEEP_C1, KEEP_C2, CutPartition, _factors, decoupling_bound, residual, single_bound
+from qsr import decoupling, protocol, qstate, uhlmann
+from qsr.decoupling import (
+    KEEP_C1, KEEP_C2, CutPartition, _factors, _residuals, decoupling_bound, residual, single_bound,
+)
 from qsr.iid import TypicalSpec, iid_experiment
 from qsr.metrics import gram_trace_distance, pure_trace_distance
 from qsr.presets import PRESET_ROLES, preset_state
@@ -62,6 +66,21 @@ ALL_PARTITIONS_OF_4 = [(1, 1, 4), (1, 2, 2), (1, 4, 1), (2, 1, 2), (2, 2, 1), (4
 
 def _random_phi(tag):
     return random_pure_state(RANDOM_LAYOUT, SeededStream(90).derive(tag))
+
+
+@pytest.fixture(scope="module")
+def bench_plans():
+    """(name, plan) for every input of the benchmark's seed-1 protocol-grid and iid-sweep passes."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads as w
+
+    def plans():  # a generator, so a test's spies see each plan being built
+        for inp in w.protocol_inputs(1):
+            yield f"protocol-grid {inp.cut}", w.protocol_op(inp)[0]
+        for inp in w.iid_inputs(1):
+            yield f"iid-sweep {inp.preset}", w.iid_op(inp).plan
+
+    return plans
 
 
 class TestCanonicalize:
@@ -714,17 +733,53 @@ class TestGeometryCache:
         assert calls == {"__post_init__": 1, "_check_isometry": 1 + (p.d1 > 1) + (p.d2 > 1)}
 
 
+class TestOneResidualPerCondition:
+    """Two decoupling conditions that are one are searched with one residual per draw."""
+
+    def test_bell_cr_pays_one_residual_and_the_rest_two(self, bench_plans, monkeypatch):
+        # bell-CR's cut is (1, 1, .) and its A and B are trivial, so both conditions keep a trivial
+        # factor against R alone: one M, one S, one d_kept.  tilted-ghz-CBR shares the cut, but its B
+        # is not trivial; no protocol-grid cut has both kept factors trivial with A and B trivial.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _residuals(*args)
+
+        monkeypatch.setattr(decoupling, "_residuals", counted)
+        seen = set()
+        for name, plan in bench_plans():
+            p, one = plan.partition, name == "iid-sweep bell-CR"
+            assert len(calls) == (1 if one else 2) * plan.iterations_used, name
+            assert _geometry(plan.phi.dims, p)[0].alike is one
+            calls.clear()
+            seen.add(name)
+            if one:
+                direct = float(_residuals(*_condition(_ENCODER, plan.phi), p, plan.unitary.matrix[None])[0])
+                assert plan.measured_eps1 == plan.measured_eps2 == direct
+        assert {"iid-sweep bell-CR", "iid-sweep tilted-ghz-CBR",
+                *(f"protocol-grid {cut}" for cut in ALL_PARTITIONS_OF_4)} <= seen
+
+    def test_bell_cr_protocol_plan_pays_one_residual(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(decoupling, "_residuals", lambda *args: calls.append(args) or _residuals(*args))
+        phi, p = preset_state("bell-CR"), CutPartition(1, 1, 2)
+        plan = build_plan(phi, PRESET_ROLES, p, stream=SeededStream(3))
+        direct = float(_residuals(*_condition(_ENCODER, plan.phi), p, plan.unitary.matrix[None])[0])
+        assert len(calls) == plan.iterations_used
+        assert plan.measured_eps1 == plan.measured_eps2 == direct
+
+
 class TestPreflight:
     def test_plan_entries_match_the_closed_form(self):
         # The preflight is derived from the halves' label tuples; the closed
         # form it replaced is the oracle, so the guard decision cannot drift.
         # A half with a trivial kept factor (d2 = 1 for W, d1 = 1 for V) holds
-        # U^H (d_C^2 entries) in place of its own-size-squared Z.
+        # U^H (d_C^2 entries); any other half's factors fit in its pair state or shared^2.
         for (d1, d2, d3), (d_a, d_b, d_r) in _all_cuts_and_sides():
             d_c = d1 * d2 * d3
             want = max(max(d1, d2) ** 2 * d_c * d_a * d_b * d_r, (d2 * d_b * d_r) ** 2,
-                       (d1 * d_a * d_r) ** 2, (d1 * d3 * d_a) ** 2 if d2 > 1 else d_c ** 2,
-                       (d2 * d3 * d_b) ** 2 if d1 > 1 else d_c ** 2)
+                       (d1 * d_a * d_r) ** 2, d_c ** 2 if min(d1, d2) == 1 else 0)
             assert _plan_entries((d_c, d_a, d_b, d_r), CutPartition(d1, d2, d3)) == want
 
     def test_plan_entries_bound_what_a_built_plan_holds(self):
@@ -738,6 +793,18 @@ class TestPreflight:
             for res in (plan.encoder_alignment, plan.decoder_alignment):
                 held += [np.size(f) for f in (res.isometry.z, res.isometry.y, res.isometry.t) if f is not None]
             assert _plan_entries(phi.dims, p) >= max(held)
+
+    def test_benchmark_plans_hold_no_array_above_the_preflight(self, bench_plans):
+        # Every array either isometry holds: a dense K, the shared U^H, or the core W and both reflector
+        # pairs of the Householder branch, which ghz-CBR takes.
+        forms = set()
+        for name, plan in bench_plans():
+            limit = _plan_entries(plan.phi.dims, plan.partition)
+            for res in (plan.encoder_alignment, plan.decoder_alignment):
+                held = [f.size for f in vars(res.isometry).values() if isinstance(f, np.ndarray)]
+                assert max(held) <= limit, name
+                forms.add((res.isometry.y_in is not None, res.isometry.rest > 1))
+        assert forms == {(False, False), (False, True), (True, False)}
 
 
 class TestKronFreeOperands:

@@ -365,6 +365,30 @@ class TestValidation:
             LinearMap(qubits("X"), qubits("Y"), mat, kind)
 
 
+class TestRefusals:
+    """Each malformed input to a layout or state constructor is refused with LayoutError."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: state_from_json("{not json"),
+        lambda: state_from_json('{"format": "qsr-state/1", "subsystems": [{"label": "X", "dim": 2}], '
+                                '"amplitudes": [[1.0], [0.0, 0.0]]}'),
+        lambda: PureState(qubits("X"), np.array([1.0, 0.0, 0.0])),
+        lambda: qubits("X", "Y").restrict(["Z"]),
+        lambda: reinterpret(maximally_entangled(2), qubits("X")),
+        lambda: purify(maximally_mixed(2, "X"), "X"),
+        lambda: maximally_entangled(0),
+        lambda: maximally_mixed(0),
+        lambda: basis_state(qubits("X", "Y"), [0]),
+        lambda: basis_state(qubits("X", "Y"), [0, 2]),
+        lambda: basis_state(qubits("X", "Y"), [-1, 0]),
+    ], ids=["invalid-json", "malformed-amplitude", "amplitude-length", "restrict-unknown", "reinterpret-dim",
+            "purify-existing-label", "entangled-0", "mixed-0", "occupation-length", "occupation-high",
+            "occupation-negative"])
+    def test_refused(self, make):
+        with pytest.raises(LayoutError):
+            make()
+
+
 class TestGuard:
     @pytest.mark.parametrize("entries,count", [
         (2**20 + 1, "1048577"),

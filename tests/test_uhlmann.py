@@ -1,9 +1,11 @@
 """Purification alignment: cross operator, polar isometry, distance guarantees."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from qsr import protocol
 
 from qsr.decoupling import CutPartition
 from qsr.iid import TypicalSpec, iid_experiment
@@ -42,6 +44,12 @@ def _pair(tag, d_a=3, d_b=2, d_c=4, noise=0.05):
 
 
 class TestCrossOperator:
+    def test_shared_label_missing_from_one_layout_is_refused(self):
+        mu = random_pure_state(SystemLayout.of(("A", 2), ("B", 2)), SeededStream(71))
+        nu = random_pure_state(SystemLayout.of(("S", 2), ("C", 4)), SeededStream(70))
+        with pytest.raises(LayoutError, match="absent"):
+            cross_operator(mu, nu, ["A"])
+
     def test_self_pair_is_conjugate_marginal(self):
         mu = random_pure_state(SystemLayout.of(("A", 3), ("B", 2)), SeededStream(72))
         x = cross_operator(mu, mu, ["A"])
@@ -319,10 +327,12 @@ class TestFactoredIsometry:
             a[0, 0] += 1e-3
             return a
 
-        factors, dense = {"z": iso.z, "y": iso.y, "t": iso.t}, {"z": iso.to_linear_map().matrix}
+        factors = {name: getattr(iso, name) for name in ("z", "y", "t", "y_in", "t_in")}
+        dense = {"z": iso.to_linear_map().matrix}
         for good in (factors, dense):
             FactoredIsometry(iso.input_layout, iso.output_layout, **good)
-        # A nudged y leaves Z unitary: only the WY identity T + T^H = T^H (Y^H Y) T catches it.
+        # The core W (z), and each reflector pair: a nudged Y or T leaves W unitary, and only that
+        # pair's WY identity T + T^H = T^H (Y^H Y) T catches it.
         for bad in (*({**factors, name: nudged(f)} for name, f in factors.items()), {"z": nudged(dense["z"])}):
             with pytest.raises(InvariantViolation):
                 FactoredIsometry(iso.input_layout, iso.output_layout, **bad)
@@ -343,6 +353,29 @@ class TestFactoredIsometry:
                            mu.layout.restrict(["B"]), nu.layout.restrict(["C"]))
         with pytest.raises(LayoutError):
             FactoredIsometry(iso.input_layout, iso.output_layout, iso.z, iso.y, iso.t, rest=2)
+
+    def test_householder_alignment_peaks_within_four_copies_of_n(self, monkeypatch):
+        # ghz-CBR n = 5's decoder aligns a 64 x 512 M onto a 64 x 2048 N (2 MiB) on the Householder
+        # branch.  Kept as a 64 x 64 core and reflectors, its factors and the distance's copies of K M
+        # peak at about 3.5 N above the inputs; a dense 512 x 512 Z and its check took 6.5 N.
+        seen = []
+
+        def spy(m, n, source, dest):
+            seen.append((m, n, source, dest))
+            return _align(m, n, source, dest)
+
+        monkeypatch.setattr(protocol, "_uhlmann_align", spy)
+        iid_experiment(preset_state("ghz-CBR"), PRESET_ROLES, TypicalSpec(n=5, delta=0.05, t=1.5), SeededStream(92))
+        [(m, n, source, dest)] = [args for args in seen if args[3].labels[0] == "B1"]
+        tracemalloc.start()
+        try:
+            iso, _, _ = _align(m, n, source, dest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.shape == (64, 512) and n.shape == (64, 2048)
+        assert peak <= 4 * n.nbytes
+        assert iso.y_in is not None
 
     def test_dense_export_is_refused_above_the_guard(self):
         # bell-CA n = 6 runs with its 65536 x 256 encoder kept factored; only
